@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: tier1 build vet vet-full test race scvet lint witness fuzz-burst smoke-serve smoke-grid smoke-drain smoke-history smoke-tier smoke-mc chaos chaos-grid soak bench-serve bench-grid bench-hist bench-tier bench-mc bench-all clean
+.PHONY: tier1 build vet vet-full test race scvet lint witness fuzz-burst smoke-serve smoke-grid smoke-drain smoke-history smoke-tier smoke-mc chaos chaos-grid soak flake-hunt bench-serve bench-grid bench-hist bench-tier bench-mc bench-all clean
 
 tier1: build vet-full race witness smoke-serve smoke-grid smoke-drain smoke-history smoke-tier smoke-mc chaos fuzz-burst
 
@@ -131,6 +131,21 @@ SOAK ?= 2m
 
 soak:
 	SCSERVE_SOAK=$(SOAK) $(GO) test -run='TestChaosSoakRegistry' -count=1 -v -timeout=0 ./internal/sctest
+
+# flake-hunt: the timing-sensitive suites, 50 runs each; not part of
+# tier1. These tests race real goroutines, sockets and timers against
+# each other — admission slots freed as verdicts are flushed, drain marks
+# observed by probes, connections cut mid-frame, backends killed and
+# restarted on the same port — so an ordering bug shows up as a rare
+# failure rather than a steady one. Tier1 must stay green under it.
+flake-hunt:
+	$(GO) test -run='TestMultiTenantStorm|Drain' -count=50 ./internal/scserve ./internal/scgrid
+	$(GO) test -race -run='TestServerConcurrentSessions|TestGracefulShutdown' -count=50 ./internal/scserve
+	$(GO) test -race -run='TestGridSmokeKillBackend' -count=50 ./internal/scgrid
+	$(GO) test -race -run='TestGridSmokeDrainBackend|TestHistorySmokeCampaign|TestHistoryRemoteChecker|TestTierSmokeGrid' -count=50 ./internal/sctest
+	$(GO) test -race -run='TestHistoryExitCodes' -count=50 ./cmd/sccheck
+	$(GO) test -race -run='TestSmokeGrid$$|TestGridDetectsViolation|TestGridBackendDeathIsIncomplete' -count=50 ./internal/scmc
+	$(GO) test -run='TestChaosSoakRegistry' -count=50 ./internal/sctest
 
 # bench-serve: throughput of the scserve service on the loopback
 # (sessions/s, symbols/s), written to BENCH_scserve.json.

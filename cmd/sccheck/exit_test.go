@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"context"
+	"flag"
 	"net"
 	"os"
 	"path/filepath"
@@ -11,6 +12,7 @@ import (
 
 	"scverify/internal/descriptor"
 	"scverify/internal/scserve"
+	"scverify/internal/sctest"
 	"scverify/internal/trace"
 )
 
@@ -55,22 +57,36 @@ func TestExitCodes(t *testing.T) {
 	rejectStream, _ := scserve.SyntheticReject(32)
 	rejectWire := descriptor.Marshal(rejectStream)
 
+	// Each mode goes through the same flags the command registers.
+	remote := func(wire []byte, tiered bool, args ...string) int {
+		fs := flag.NewFlagSet("sccheck", flag.ContinueOnError)
+		rf := sctest.AddRemoteFlags(fs)
+		if err := fs.Parse(append(args, "-server-timeout", "2s", "-server-retries", "2")); err != nil {
+			t.Fatal(err)
+		}
+		a, err := rf.Open()
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer rf.Close()
+		return remoteMain(bytes.NewReader(wire), a, scserve.Header{K: scserve.SyntheticK, Params: params, Tiered: tiered})
+	}
 	modes := []struct {
 		name string
 		run  func(wire []byte, target string) int
 	}{
 		{"server", func(wire []byte, target string) int {
-			return remoteMain(bytes.NewReader(wire), target, scserve.SyntheticK, params, 2*time.Second, 2, false)
+			return remote(wire, false, "-server", target)
 		}},
 		{"grid", func(wire []byte, target string) int {
-			return gridMain(bytes.NewReader(wire), target, scserve.SyntheticK, params, 2*time.Second, 2, false)
+			return remote(wire, false, "-grid", target)
 		}},
 		// Asking for tiers must not disturb the exit-code contract.
 		{"server-tier", func(wire []byte, target string) int {
-			return remoteMain(bytes.NewReader(wire), target, scserve.SyntheticK, params, 2*time.Second, 2, true)
+			return remote(wire, true, "-server", target)
 		}},
 		{"grid-tier", func(wire []byte, target string) int {
-			return gridMain(bytes.NewReader(wire), target, scserve.SyntheticK, params, 2*time.Second, 2, true)
+			return remote(wire, true, "-grid", target)
 		}},
 	}
 	for _, m := range modes {

@@ -9,11 +9,9 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"strings"
 	"time"
 
 	"scverify/internal/history"
-	"scverify/internal/scgrid"
 	"scverify/internal/scserve"
 	"scverify/internal/sctest"
 	"scverify/internal/witness"
@@ -43,10 +41,7 @@ func historyMain(args []string) int {
 		strict  = fs.Bool("strict", false, "reject histories with operations still pending at end of input")
 		explain = fs.Bool("explain", false, "on rejection, print a minimized witness in history vocabulary")
 		quiet   = fs.Bool("q", false, "suppress the acceptance summary line")
-		server  = fs.String("server", "", "scserve address; adjudicate the lowered stream remotely")
-		grid    = fs.String("grid", "", "comma-separated scserve backends; adjudicate through the scgrid dispatcher")
-		srvTO   = fs.Duration("server-timeout", 30*time.Second, "per-operation I/O timeout for -server/-grid mode")
-		retries = fs.Int("server-retries", 5, "connection attempts per remote operation before giving up")
+		remote  = sctest.AddRemoteFlags(fs)
 		tier    = fs.Bool("tier", false, "on rejection, adjudicate the witness core against the weaker-model ladder; with -server/-grid, ask the service to")
 
 		bench      = fs.Bool("bench", false, "run the ingestion+checking throughput benchmark instead of checking input")
@@ -63,14 +58,16 @@ func historyMain(args []string) int {
 	if *bench {
 		return historyBench(*benchHists, *benchOps, *benchOut)
 	}
-	if *server != "" && *grid != "" {
-		fmt.Fprintln(os.Stderr, "sccheck history: -server and -grid are mutually exclusive")
-		return 2
-	}
-	if *explain && (*server != "" || *grid != "") {
+	if *explain && remote.Remote() {
 		fmt.Fprintln(os.Stderr, "sccheck history: -explain is local-only; not available with -server/-grid")
 		return 2
 	}
+	a, err := remote.Open()
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "sccheck history: %v\n", err)
+		return 2
+	}
+	defer remote.Close()
 
 	h, err := readHistory(*in, *format)
 	if err != nil {
@@ -89,8 +86,12 @@ func historyMain(args []string) int {
 		return 2
 	}
 
-	if *server != "" || *grid != "" {
-		return historyRemote(l, *server, *grid, *srvTO, *retries, *tier)
+	if a != nil {
+		var opts []sctest.CheckOpt
+		if *tier {
+			opts = append(opts, sctest.Tiered())
+		}
+		return historyRemote(l, a, opts...)
 	}
 
 	if err := l.Check(); err != nil {
@@ -169,29 +170,10 @@ func sniffFormat(path string, data []byte) string {
 	}
 }
 
-// historyRemote ships the lowered descriptor stream to a service (or
-// through the grid) and maps its verdict onto the exit-code contract.
-func historyRemote(l *history.Lowering, server, grid string, timeout time.Duration, retries int, tiered bool) int {
-	var opts []sctest.CheckOpt
-	if tiered {
-		opts = append(opts, sctest.Tiered())
-	}
-	var check sctest.HistoryChecker
-	if grid != "" {
-		g, err := scgrid.New(strings.Split(grid, ","), scgrid.Config{
-			Timeout:     timeout,
-			MaxAttempts: retries,
-		})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "sccheck history: grid: %v\n", err)
-			return 2
-		}
-		defer g.Close()
-		check = sctest.HistoryGridChecker(g, opts...)
-	} else {
-		check = sctest.HistoryRemoteCheckerRetry(server, scserve.RetryConfig{Timeout: timeout, MaxAttempts: retries}, opts...)
-	}
-	err := check(l)
+// historyRemote ships the lowered descriptor stream to the remote
+// adjudicator and maps its verdict onto the exit-code contract.
+func historyRemote(l *history.Lowering, a sctest.Adjudicator, opts ...sctest.CheckOpt) int {
+	err := sctest.RemoteHistory(a, opts...)(l)
 	if err == nil {
 		fmt.Printf("accepted: %s\n", l.Summary())
 		return 0

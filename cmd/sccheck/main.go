@@ -17,16 +17,14 @@
 //	sccheck -k 12 -in run.desc -server host:7541 # adjudicate via scserve
 //	sccheck -k 12 -in run.desc -grid h1:7541,h2:7541 # adjudicate via a backend pool
 //
-// With -server, the stream is adjudicated by a remote scserve service
-// through the fault-tolerant RetryClient: the session survives connection
-// loss by resuming from the server's last checkpoint and replaying only
-// the unacked tail. -server-timeout bounds each network operation and
-// -server-retries the connection attempts per operation.
-//
-// With -grid, the stream is dispatched through the scgrid fabric over a
-// comma-separated pool of scserve backends: a backend blip resumes the
-// session from its checkpoint, a backend death fails it over to a live
-// backend (replaying the stream), and a saturated pool answers busy.
+// With -server, the stream is adjudicated by a remote scserve service;
+// with -grid, it is dispatched through the scgrid fabric over a
+// comma-separated pool of scserve backends. Both run the session on the
+// fault-tolerant session engine: a connection blip resumes from the
+// server's last checkpoint and replays only the unacked tail, a backend
+// death fails over to a live backend (replaying the stream), and a
+// saturated pool answers busy. -server-timeout bounds each network
+// operation and -server-retries the connection attempts per operation.
 //
 // With -explain, a rejection is explained rather than merely located: the
 // stream is shrunk to a 1-minimal rejecting core (delta debugging), the
@@ -67,15 +65,13 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strings"
-	"time"
 
 	"scverify/internal/checker"
 	"scverify/internal/descriptor"
 	"scverify/internal/gammalint"
 	"scverify/internal/registry"
-	"scverify/internal/scgrid"
 	"scverify/internal/scserve"
+	"scverify/internal/sctest"
 	"scverify/internal/trace"
 	"scverify/internal/witness"
 )
@@ -95,10 +91,7 @@ func main() {
 		procs   = flag.Int("p", 0, "optional: processors, enables parameter checking")
 		blocks  = flag.Int("b", 0, "optional: blocks")
 		values  = flag.Int("v", 0, "optional: values")
-		server  = flag.String("server", "", "scserve address; adjudicate the stream remotely")
-		grid    = flag.String("grid", "", "comma-separated scserve backends; adjudicate through the scgrid dispatcher")
-		srvTO   = flag.Duration("server-timeout", 30*time.Second, "per-operation I/O timeout for -server/-grid mode")
-		retries = flag.Int("server-retries", 5, "connection attempts per remote operation before giving up")
+		remote  = sctest.AddRemoteFlags(flag.CommandLine)
 		tier    = flag.Bool("tier", false, "on rejection, adjudicate the witness core against the weaker-model ladder (TSO/PSO/causal/PRAM); with -server/-grid, ask the service to")
 
 		bench    = flag.Bool("bench", false, "with -tier: run the tier-adjudication benchmark instead of checking input")
@@ -135,19 +128,19 @@ func main() {
 		params = trace.Params{Procs: *procs, Blocks: *blocks, Values: *values}
 	}
 
-	if *server != "" || *grid != "" {
+	if remote.Remote() {
 		if *text || *explain {
 			fmt.Fprintln(os.Stderr, "sccheck: -text and -explain are local-only; not available with -server/-grid")
 			os.Exit(2)
 		}
-		if *server != "" && *grid != "" {
-			fmt.Fprintln(os.Stderr, "sccheck: -server and -grid are mutually exclusive")
+		a, err := remote.Open()
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "sccheck: %v\n", err)
 			os.Exit(2)
 		}
-		if *grid != "" {
-			os.Exit(gridMain(r, *grid, *k, params, *srvTO, *retries, *tier))
-		}
-		os.Exit(remoteMain(r, *server, *k, params, *srvTO, *retries, *tier))
+		code := remoteMain(r, a, scserve.Header{K: *k, Params: params, Tiered: *tier})
+		remote.Close()
+		os.Exit(code)
 	}
 	c := checker.New(*k)
 	if params.Procs > 0 {
@@ -221,19 +214,20 @@ func main() {
 		dec.Count(), ops)
 }
 
-// remoteMain streams the raw descriptor wire bytes to an scserve service
-// through the fault-tolerant RetryClient and reports its verdict. The
-// stream is shipped as-is — the server decodes and positions errors —
-// and the session survives connection loss by resuming from the server's
-// last checkpoint.
-func remoteMain(r io.Reader, addr string, k int, params trace.Params, timeout time.Duration, retries int, tiered bool) int {
-	rc := scserve.NewRetryClient(addr, scserve.RetryConfig{Timeout: timeout, MaxAttempts: retries})
-	defer rc.Close()
-	sess, err := rc.Session(scserve.Header{K: k, Params: params, Tiered: tiered})
+// remoteMain streams the raw descriptor wire bytes through the remote
+// adjudicator — one scserve service or an scgrid pool — and reports its
+// verdict. The stream is shipped as-is (the server decodes and positions
+// errors) on a tokened session: a connection blip resumes from the
+// server's last checkpoint, a backend death fails over with a full
+// replay, and a saturated pool answers busy (exit 2) rather than hanging.
+func remoteMain(r io.Reader, a sctest.Adjudicator, h scserve.Header) int {
+	h.Token = scserve.NewToken()
+	sess, err := a.Session(h)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "sccheck: remote: %v\n", err)
 		return 2
 	}
+	defer sess.Close()
 	buf := make([]byte, 32<<10)
 	for {
 		n, rerr := r.Read(buf)
@@ -254,52 +248,6 @@ func remoteMain(r io.Reader, addr string, k int, params trace.Params, timeout ti
 	v, err := sess.Finish()
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "sccheck: remote: %v\n", err)
-		return 2
-	}
-	return reportVerdict(v)
-}
-
-// gridMain streams the raw descriptor wire bytes through the scgrid
-// dispatcher over a pool of scserve backends: the session is tokened, so
-// a backend blip resumes from its checkpoint, a backend death fails over
-// to a live backend with a full replay, and a saturated pool answers
-// busy (exit 2) rather than hanging.
-func gridMain(r io.Reader, backends string, k int, params trace.Params, timeout time.Duration, retries int, tiered bool) int {
-	g, err := scgrid.New(strings.Split(backends, ","), scgrid.Config{
-		Timeout:     timeout,
-		MaxAttempts: retries,
-	})
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "sccheck: grid: %v\n", err)
-		return 2
-	}
-	defer g.Close()
-	sess, err := g.Session(scserve.Header{K: k, Params: params, Token: scserve.NewToken(), Tiered: tiered})
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "sccheck: grid: %v\n", err)
-		return 2
-	}
-	defer sess.Close()
-	buf := make([]byte, 32<<10)
-	for {
-		n, rerr := r.Read(buf)
-		if n > 0 {
-			if err := sess.SendBytes(buf[:n]); err != nil {
-				fmt.Fprintf(os.Stderr, "sccheck: grid: %v\n", err)
-				return 2
-			}
-		}
-		if rerr == io.EOF {
-			break
-		}
-		if rerr != nil {
-			fmt.Fprintf(os.Stderr, "sccheck: read: %v\n", rerr)
-			return 2
-		}
-	}
-	v, err := sess.Finish()
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "sccheck: grid: %v\n", err)
 		return 2
 	}
 	return reportVerdict(v)

@@ -138,7 +138,7 @@ func main() {
 		QueueWait:     *queueWait,
 		ProbeInterval: *probeInterval,
 		ReadmitDelay:  *readmitDelay,
-		Timeout:       *timeout,
+		RetryConfig:   scserve.RetryConfig{Timeout: *timeout},
 	}
 	if *verbose {
 		cfg.Logf = log.Printf
@@ -260,12 +260,11 @@ func runBench(sessions, workers, symbols, inflight int, latency time.Duration, o
 			Latency:     latency,
 		})
 		g, err := scgrid.New(addrs, scgrid.Config{
-			Seed:          int64(nb),
 			MaxInFlight:   inflight,
 			QueueDepth:    workers + 8,
 			QueueWait:     time.Minute, // the bench queues, never sheds
 			ProbeInterval: -1,
-			Dial:          scgrid.Dialer(fd.DialContext),
+			RetryConfig:   scserve.RetryConfig{Seed: int64(nb), Dial: fd.Dial},
 		})
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "scgrid bench: %v\n", err)

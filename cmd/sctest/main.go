@@ -39,13 +39,9 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
-	"time"
 
 	"scverify/internal/history"
 	"scverify/internal/registry"
-	"scverify/internal/scgrid"
-	"scverify/internal/scserve"
 	"scverify/internal/sctest"
 	"scverify/internal/trace"
 	"scverify/internal/witness"
@@ -64,19 +60,33 @@ func main() {
 		exact   = flag.Bool("exact", true, "cross-check short traces with the exact reordering search")
 		limit   = flag.Int("exactlimit", 14, "maximum trace length for the exact cross-check")
 		workers = flag.Int("workers", 1, "parallel campaign workers")
-		server  = flag.String("server", "", "scserve address; adjudicate runs remotely instead of in-process")
-		grid    = flag.String("grid", "", "comma-separated scserve backends; shard the campaign across the pool")
-		rpcTO   = flag.Duration("server-timeout", 30*time.Second, "per-operation I/O timeout for -server/-grid mode")
-		retries = flag.Int("server-retries", 5, "connection attempts per remote operation before giving up")
+		remote  = sctest.AddRemoteFlags(flag.CommandLine)
 		hist    = flag.Bool("hist", false, "campaign over generated operation histories instead of protocol runs")
 		histOps = flag.Int("hist-ops", 60, "base operations per generated history (-hist mode)")
 		tier    = flag.Bool("tier", false, "adjudicate every rejection against the weaker-model ladder and histogram the tiers")
 	)
 	flag.Parse()
 
+	adj, err := remote.Open()
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "sctest: %v\n", err)
+		os.Exit(2)
+	}
+	defer remote.Close()
+	var opts []sctest.CheckOpt
+	if *tier {
+		opts = append(opts, sctest.Tiered())
+	}
 	if *hist {
-		os.Exit(histMain(*runs, *seed, *procs, *blocks, *histOps, *workers,
-			*server, *grid, *rpcTO, *retries, *tier))
+		cfg := sctest.HistoryConfig{
+			Seeds: *runs, Seed: *seed, Workers: *workers,
+			Gen:  history.GenConfig{Processes: *procs, Keys: *blocks, Ops: *histOps},
+			Tier: *tier,
+		}
+		if adj != nil {
+			cfg.Check = sctest.RemoteHistory(adj, opts...)
+		}
+		os.Exit(histMain(cfg, remote))
 	}
 
 	params := trace.Params{Procs: *procs, Blocks: *blocks, Values: *values}
@@ -91,46 +101,14 @@ func main() {
 		Exact: *exact, ExactLimit: *limit, Workers: *workers,
 		Tier: *tier,
 	}
-	var opts []sctest.CheckOpt
-	if *tier {
-		opts = append(opts, sctest.Tiered())
-	}
-	how := "in-process checker"
-	var g *scgrid.Grid
-	if *server != "" && *grid != "" {
-		fmt.Fprintln(os.Stderr, "sctest: -server and -grid are mutually exclusive")
-		os.Exit(2)
-	}
-	if *server != "" {
-		cfg.Check = sctest.RemoteCheckerRetry(*server, scserve.RetryConfig{
-			Timeout:     *rpcTO,
-			MaxAttempts: *retries,
-		}, opts...)
-		how = "scserve at " + *server
-	}
-	if *grid != "" {
-		g, err = scgrid.New(strings.Split(*grid, ","), scgrid.Config{
-			Timeout:     *rpcTO,
-			MaxAttempts: *retries,
-		})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "sctest: grid: %v\n", err)
-			os.Exit(2)
-		}
-		defer g.Close()
-		cfg.Check = sctest.GridChecker(g, opts...)
-		how = fmt.Sprintf("scgrid over %d backends", len(g.Stats().Backends))
+	if adj != nil {
+		cfg.Check = sctest.RemoteRun(adj, opts...)
 	}
 	fmt.Printf("testing %s (%s) at %s: %d runs × %d steps, adjudicated by %s\n",
-		tgt.Protocol.Name(), tgt.Note, params, *runs, *steps, how)
+		tgt.Protocol.Name(), tgt.Note, params, *runs, *steps, remote)
 	res := sctest.Campaign(tgt, cfg)
 	fmt.Println(res)
-	if g != nil {
-		// Show how the campaign sharded: per-backend session counters.
-		for _, bs := range g.Stats().Backends {
-			fmt.Printf("  %s\n", bs)
-		}
-	}
+	printBackends(remote)
 
 	if res.SoundnessBreaks > 0 {
 		fmt.Println("FATAL: a run was accepted whose trace is not SC — method soundness bug")
@@ -158,57 +136,25 @@ func main() {
 	}
 }
 
+// printBackends shows how a -grid campaign sharded: per-backend session
+// counters.
+func printBackends(remote *sctest.RemoteFlags) {
+	for _, bs := range remote.Backends() {
+		fmt.Printf("  %s\n", bs)
+	}
+}
+
 // histMain runs the -hist campaign: seeds × (1 clean + one history per
 // anomaly kind), adjudicated locally or through the chosen service, with
 // the first unexpected outcome rendered as an annotated witness.
-func histMain(seeds int, seed int64, procs, keys, ops, workers int,
-	server, grid string, rpcTO time.Duration, retries int, tier bool) int {
-	cfg := sctest.HistoryConfig{
-		Seeds: seeds, Seed: seed, Workers: workers,
-		Gen:  history.GenConfig{Processes: procs, Keys: keys, Ops: ops},
-		Tier: tier,
-	}
-	var opts []sctest.CheckOpt
-	if tier {
-		opts = append(opts, sctest.Tiered())
-	}
-	how := "in-process checker"
-	if server != "" && grid != "" {
-		fmt.Fprintln(os.Stderr, "sctest: -server and -grid are mutually exclusive")
-		return 2
-	}
-	var g *scgrid.Grid
-	if server != "" {
-		cfg.Check = sctest.HistoryRemoteCheckerRetry(server, scserve.RetryConfig{
-			Timeout:     rpcTO,
-			MaxAttempts: retries,
-		}, opts...)
-		how = "scserve at " + server
-	}
-	if grid != "" {
-		var err error
-		g, err = scgrid.New(strings.Split(grid, ","), scgrid.Config{
-			Timeout:     rpcTO,
-			MaxAttempts: retries,
-		})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "sctest: grid: %v\n", err)
-			return 2
-		}
-		defer g.Close()
-		cfg.Check = sctest.HistoryGridChecker(g, opts...)
-		how = fmt.Sprintf("scgrid over %d backends", len(g.Stats().Backends))
-	}
+func histMain(cfg sctest.HistoryConfig, remote *sctest.RemoteFlags) int {
 	kinds := history.AllAnomalies()
+	g := cfg.Gen
 	fmt.Printf("testing history ingestion: %d seeds × (1 clean + %d anomalies), %d processes × %d keys × %d ops, adjudicated by %s\n",
-		seeds, len(kinds), procs, keys, ops, how)
+		cfg.Seeds, len(kinds), g.Processes, g.Keys, g.Ops, remote)
 	res := sctest.HistoryCampaign(cfg)
 	fmt.Println(res)
-	if g != nil {
-		for _, bs := range g.Stats().Backends {
-			fmt.Printf("  %s\n", bs)
-		}
-	}
+	printBackends(remote)
 	if res.Passed() {
 		return 0
 	}

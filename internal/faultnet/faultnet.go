@@ -232,7 +232,7 @@ func (c *Conn) Close() error {
 }
 
 // Dialer produces fault-injected connections, for use as a client
-// transport hook (e.g. scserve.RetryConfig.Dial). Each connection draws
+// transport hook (scserve.RetryConfig.Dial). Each connection draws
 // its own fault schedule from the dialer's seed sequence, and all
 // connections share the dialer's Stats.
 type Dialer struct {
@@ -256,23 +256,19 @@ func NewDialer(cfg Config) *Dialer {
 // Stats returns the counters aggregated across all dialed connections.
 func (d *Dialer) Stats() *Stats { return d.stats }
 
-// Dial connects to addr over TCP and wraps the connection. The signature
-// matches scserve.RetryConfig.Dial.
-func (d *Dialer) Dial(addr string, timeout time.Duration) (net.Conn, error) {
-	conn, err := net.DialTimeout("tcp", addr, timeout)
-	if err != nil {
-		return nil, err
-	}
-	return d.wrap(conn), nil
+// Dial connects to addr over TCP with DialContext's faults. The
+// signature matches scserve.RetryConfig.Dial, the transport hook of the
+// session engine and the scgrid pool.
+func (d *Dialer) Dial(ctx context.Context, addr string) (net.Conn, error) {
+	return d.DialContext(ctx, "tcp", addr)
 }
 
 // DialContext connects to addr and wraps the connection, injecting the
 // dialer's latency and stall faults into the dial itself as
 // context-cancellable sleeps: a health probe dialing through a faulty
 // link observes the latency spike but its deadline still fires through
-// it. The signature matches net.Dialer.DialContext (and, partially
-// applied, scgrid.Config.Dial); a dial-time reset fault surfaces as a
-// refused connection.
+// it. The signature matches net.Dialer.DialContext; a dial-time reset
+// fault surfaces as a refused connection.
 func (d *Dialer) DialContext(ctx context.Context, network, addr string) (net.Conn, error) {
 	d.mu.Lock()
 	d.seed++

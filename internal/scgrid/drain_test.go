@@ -1,7 +1,9 @@
 package scgrid
 
 import (
+	"context"
 	"net"
+	"sync"
 	"testing"
 	"time"
 
@@ -47,9 +49,11 @@ func TestGridDrainRedirect(t *testing.T) {
 	a := startBackend(t, scserve.Config{})
 	b := startBackend(t, scserve.Config{})
 	g := newTestGrid(t, Config{
-		MaxAttempts: 1,
-		BaseDelay:   30 * time.Second,
-		MaxDelay:    30 * time.Second,
+		RetryConfig: scserve.RetryConfig{
+			MaxAttempts: 1,
+			BaseDelay:   30 * time.Second,
+			MaxDelay:    30 * time.Second,
+		},
 	}, a, b)
 
 	tok := tokenPinnedTo(t, g, a)
@@ -152,7 +156,18 @@ func TestGridProbeDrainDetection(t *testing.T) {
 func TestGridStickyResumeOnDrainingBackend(t *testing.T) {
 	a := startBackend(t, scserve.Config{AckInterval: 8})
 	b := startBackend(t, scserve.Config{AckInterval: 8})
-	g := newTestGrid(t, Config{PollEvery: 64}, a, b)
+	// Record the session's connection so the test can cut it.
+	var mu sync.Mutex
+	var live net.Conn
+	dial := func(ctx context.Context, addr string) (net.Conn, error) {
+		var d net.Dialer
+		conn, err := d.DialContext(ctx, "tcp", addr)
+		mu.Lock()
+		live = conn
+		mu.Unlock()
+		return conn, err
+	}
+	g := newTestGrid(t, Config{RetryConfig: scserve.RetryConfig{PollEvery: 64, Dial: dial}}, a, b)
 
 	stream, rejIdx := scserve.SyntheticReject(600)
 	h := scserve.SyntheticHeader()
@@ -167,22 +182,23 @@ func TestGridStickyResumeOnDrainingBackend(t *testing.T) {
 	if err := s.Send(stream[:half]...); err != nil {
 		t.Fatal(err)
 	}
-	// Make sure a checkpoint exists before the blip: poll until the
-	// server's ack moves the replay base.
-	deadline := time.Now().Add(2 * time.Second)
-	for s.base == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("no ack after half the stream — cannot exercise sticky resume")
+	// Make sure a checkpoint exists before the blip: keep streaming, a
+	// symbol at a time, until a poll folds the server's ack into the
+	// replay base — and stop short of the rejecting tail.
+	sent := half
+	for s.Acked() == 0 {
+		if sent == rejIdx-3 {
+			t.Fatal("no ack before the rejecting tail — cannot exercise sticky resume")
 		}
-		if err := s.sess.Flush(); err != nil {
+		if err := s.Send(stream[sent]); err != nil {
 			t.Fatal(err)
 		}
-		if err := s.sess.Poll(); err != nil {
-			t.Fatal(err)
-		}
-		s.updateAcked()
+		sent++
 	}
-	home := s.Backend()
+	home := heldBackend(g)
+	mu.Lock()
+	blip := live
+	mu.Unlock()
 	var hometb *testBackend
 	for _, tb := range []*testBackend{a, b} {
 		if tb.addr == home {
@@ -197,9 +213,9 @@ func TestGridStickyResumeOnDrainingBackend(t *testing.T) {
 	// blips — placement must still return to the checkpoint.
 	hometb.server().Drain()
 	g.ProbeNow()
-	s.dropConn()
+	blip.Close()
 
-	if err := s.Send(stream[half:]...); err != nil {
+	if err := s.Send(stream[sent:]...); err != nil {
 		t.Fatal(err)
 	}
 	v, err := s.Finish()
@@ -251,7 +267,6 @@ func TestRetryClientDrainRedirectThroughProxy(t *testing.T) {
 		MaxDelay:    30 * time.Second,
 		Seed:        1,
 	})
-	defer rc.Close()
 
 	h := scserve.SyntheticHeader()
 	h.Token = tok

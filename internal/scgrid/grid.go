@@ -24,11 +24,13 @@
 //     shedding that answers with the existing scserve busy verdict
 //     instead of stacking unbounded latency.
 //
-// Sessions buffer their whole stream (capped by Config.MaxBuffer):
-// failover to a different backend requires replay from byte zero, and a
-// verdict over anything less than the exact stream would break the
-// invariant. Resume-on-blip still pays off — the pinned backend checks
-// only the unacked tail — but correctness never depends on a checkpoint
+// Grid sessions run on scserve's one session engine (RetrySession); the
+// grid is its pool placement. The engine keeps the whole stream until it
+// would outgrow MaxBuffer, so failover to a different backend replays
+// from byte zero, and a session that had to trim its head ends with a
+// clean error rather than a verdict over anything less than the exact
+// stream. Resume-on-blip still pays off — the pinned backend checks only
+// the unacked tail — but correctness never depends on a checkpoint
 // surviving.
 package scgrid
 
@@ -36,8 +38,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math/rand"
 	"net"
+	"sync/atomic"
 	"time"
 
 	"scverify/internal/descriptor"
@@ -50,6 +52,7 @@ import (
 type Grid struct {
 	cfg  Config
 	pool *pool
+	seq  atomic.Int64 // sessions opened, numbering their jitter streams
 }
 
 // New builds a grid over the given backend addresses and starts its
@@ -97,27 +100,13 @@ func (g *Grid) ProbeNow() {
 	g.pool.probeRound()
 }
 
-// Session opens a grid session. A Header with a Token is resumable and
-// pinned to its rendezvous backend (use scserve.NewToken for a fresh
-// one); a Header without a Token is one-shot and placed least-loaded.
-// h.Resume must not be set — resumption is the grid's business.
-func (g *Grid) Session(h scserve.Header) (*Session, error) {
-	if h.Resume {
-		return nil, errors.New("scgrid: the grid manages resumption itself; do not set Header.Resume")
-	}
-	seed := g.cfg.Seed
-	if seed == 0 {
-		seed = time.Now().UnixNano()
-	} else {
-		// Derive a per-session stream so concurrent sessions under a
-		// fixed grid seed don't share one locked rng.
-		seed += g.pool.sheds.Load() + int64(len(h.Token))*7919
-	}
-	return &Session{
-		g:   g,
-		hdr: h,
-		rng: rand.New(rand.NewSource(seed)),
-	}, nil
+// Session opens a grid session on the shared session engine. A Header
+// with a Token is resumable and pinned to its rendezvous backend (use
+// scserve.NewToken for a fresh one); a Header without a Token is one-shot
+// and placed least-loaded. h.Resume must not be set — resumption is the
+// engine's business.
+func (g *Grid) Session(h scserve.Header) (*scserve.RetrySession, error) {
+	return scserve.NewRetrySession(h, g.cfg.RetryConfig, &placement{g: g, token: h.Token}, g.seq.Add(1))
 }
 
 // Check is the one-shot convenience: it opens a session with h, streams
@@ -135,400 +124,105 @@ func (g *Grid) Check(h scserve.Header, stream descriptor.Stream) (scserve.Verdic
 	return s.Finish()
 }
 
-// Session is one logical checking session dispatched through the grid.
-// It survives backend connection loss (resuming on the pinned backend's
-// checkpoint), backend death (failing over to a live backend and
-// replaying from byte zero), and backend restart (a resume miss restarts
-// fresh on the same backend). Not goroutine-safe.
-//
-//scvet:single-goroutine
-type Session struct {
-	g   *Grid
-	hdr scserve.Header
-	rng *rand.Rand
-
-	buf   []byte // the whole stream: failover needs replay from byte zero
-	total int64
-
-	b       *backend // backend currently holding this session's slot
-	cli     *scserve.Client
-	sess    *scserve.Session
-	base    int64 // acked offset on the current backend (replay starts here)
-	baseSym int
-	sent    int64 // absolute offset streamed on the current connection
-	unpoll  int
-	landed  bool // a session reached some backend at least once
-	done    bool
-	shed    *scserve.Verdict // set when admission shed this session
+// placement is a grid session's scserve.Placement: which backend its
+// connections go to, the in-flight slot it holds there, and the
+// per-backend counters its events feed.
+type placement struct {
+	g      *Grid
+	token  string
+	b      *backend // backend holding this session's slot
+	landed bool     // the session reached some backend at least once
 }
 
-// Bytes returns the total stream bytes accepted so far.
-func (s *Session) Bytes() int64 { return s.total }
-
-// Backend returns the address of the backend currently serving the
-// session ("" before the first dispatch).
-func (s *Session) Backend() string {
-	if s.b == nil {
-		return ""
-	}
-	return s.b.addr
-}
-
-// Close abandons the session: the backend connection is dropped and the
-// in-flight slot released. A finished session's Close is a no-op.
-func (s *Session) Close() {
-	s.dropConn()
-	s.releaseSlot()
-	s.done = true
-}
-
-func (s *Session) dropConn() {
-	if s.cli != nil {
-		s.cli.Close()
-		s.cli = nil
-	}
-	s.sess = nil
-}
-
-func (s *Session) releaseSlot() {
-	if s.b != nil {
-		s.b.release()
-		s.b = nil
-	}
-}
-
-// backoff sleeps the jittered exponential delay for the given attempt.
-func (s *Session) backoff(attempt int) {
-	d := s.g.cfg.BaseDelay << attempt
-	if d <= 0 || d > s.g.cfg.MaxDelay {
-		d = s.g.cfg.MaxDelay
-	}
-	d = d/2 + time.Duration(s.rng.Int63n(int64(d/2)+1))
-	time.Sleep(d)
-}
-
-// errResumeMiss: the pinned backend restarted and lost the checkpoint;
-// retry fresh on the same backend.
-var errResumeMiss = errors.New("scgrid: resume checkpoint gone; restarting fresh")
-
-// ensure establishes a connection to the right backend with an open
-// session positioned at s.sent. It owns placement:
+// Connect places the session's next connection:
 //
 //   - tokened sessions target their rendezvous backend — the same one
 //     after a blip (resume), a different live one after a death
 //     (failover, fresh start);
-//   - one-shot sessions re-place least-loaded on every reconnect.
+//   - one-shot sessions re-place least-loaded whenever their backend died
+//     or gave its slot back.
 //
 // Slot accounting moves with the session: reconnecting to the same
 // backend keeps the held slot, moving releases it and re-admits on the
 // new backend (which may queue and shed).
-func (s *Session) ensure() error {
-	if s.sess != nil {
-		return nil
+func (p *placement) Connect(resuming bool) (net.Conn, bool, error) {
+	want := p.b
+	if want != nil && !want.isHealthy() {
+		want = nil
 	}
-	// Placement: where should this session run now?
-	var want *backend
-	if s.hdr.Token != "" {
-		if s.base > 0 && s.b != nil && s.b.isHealthy() {
-			// Sticky resume: our checkpoint lives on this backend and it is
-			// still answering — stay, even if it started draining. Draining
-			// backends keep serving resumes precisely so in-flight sessions
-			// finish where their bytes are instead of paying a full replay.
-			want = s.b
-		} else {
-			want = s.g.pool.pinned(s.hdr.Token)
-			if want == nil {
-				// Nothing healthy: wait in the admission queue for a
-				// re-admission rather than spinning the retry budget.
-				s.releaseSlot()
-			}
-		}
-	} else {
-		want = s.b // one-shot: keep the slot unless the backend died
-		if want != nil && !want.isHealthy() {
-			want = nil
-		}
+	if p.token != "" && !(resuming && want != nil) {
+		// Sticky resume keeps a checkpointed session on its backend even
+		// while it drains: draining backends keep serving resumes so
+		// in-flight sessions finish where their bytes are. Otherwise
+		// re-pin (nil when nothing is healthy: wait in admission).
+		want = p.g.pool.pinned(p.token)
 	}
-	if want == nil || want != s.b {
-		s.releaseSlot()
-		b, err := s.g.pool.acquire(s.hdr.Token, s.g.cfg.QueueWait)
+	moved := want == nil || want != p.b
+	if moved {
+		p.Release()
+		b, err := p.g.pool.acquire(p.token, p.g.cfg.QueueWait)
 		if err != nil {
-			return err
+			return nil, false, shedVerdict(err).Err()
 		}
-		if s.hdr.Token != "" && want != nil && b != want {
-			// The healthy set shifted between pinned() and acquire();
-			// trust acquire's answer, it re-ran the hash.
-			want = b
+		p.b = b
+		if p.landed {
+			b.failovers.Add(1)
+			p.g.pool.logf("scgrid: session %.8s… failing over to %s (replay from byte 0)", p.token, b.addr)
 		}
-		s.b = b
-		if s.landed {
-			s.b.failovers.Add(1)
-			s.g.pool.logf("scgrid: session %.8s… failing over to %s (replay %d bytes)", s.hdr.Token, b.addr, s.total)
-		}
-		// A new backend has none of our bytes: fresh start, full replay.
-		s.base, s.baseSym = 0, 0
 	}
-
-	ctx, cancel := context.WithTimeout(context.Background(), s.g.cfg.Timeout)
-	conn, err := s.g.cfg.Dial(ctx, s.b.addr)
+	ctx, cancel := context.WithTimeout(context.Background(), p.g.cfg.Timeout)
+	conn, err := p.g.cfg.Dial(ctx, p.b.addr)
 	cancel()
 	if err != nil {
 		// A refused dial is the fastest death signal there is: eject so
 		// the next attempt (and every other session) places elsewhere.
-		s.g.pool.eject(s.b, err)
-		s.releaseSlot()
-		return err
+		p.g.pool.eject(p.b, err)
+		p.Release()
+		return nil, false, err
 	}
-	s.cli = scserve.NewClient(conn, s.g.cfg.Timeout)
-
-	h := s.hdr
-	if s.base > 0 {
-		h.Resume = true
-		h.AckSymbol, h.AckOffset = s.baseSym, s.base
-	}
-	sess, err := s.cli.Session(h)
-	if err != nil {
-		s.dropConn()
-		return err
-	}
-	s.sess = sess
-	s.b.sessions.Add(1)
-	s.landed = true
-	if h.Resume {
-		if v, ok := sess.Early(); ok {
-			if v.ResumeMiss() {
-				// The backend restarted (or evicted the checkpoint): the
-				// token is gone but we hold the full stream. Restart
-				// fresh on the same backend.
-				s.dropConn()
-				s.base, s.baseSym = 0, 0
-				return errResumeMiss
-			}
-			// Any other early verdict (typically the replayed verdict of
-			// an already-finished session) is delivered by Finish.
-			s.sent = s.total
-			return nil
-		}
-		_, off := sess.Acked()
-		if off < 0 || off > s.total {
-			s.dropConn()
-			s.base, s.baseSym = 0, 0
-			return fmt.Errorf("scgrid: resume ack at offset %d outside stream of %d bytes", off, s.total)
-		}
-		s.b.resumes.Add(1)
-		s.updateAcked()
-	}
-	s.sent = s.base
-	return nil
+	return conn, moved, nil
 }
 
-// updateAcked folds the server's latest ack into the session's replay
-// base. The buffer is never trimmed — failover needs byte zero — but the
-// base decides where a resume on the same backend restarts.
-func (s *Session) updateAcked() {
-	sym, off := s.sess.Acked()
-	if off > s.base && off <= s.total {
-		s.base, s.baseSym = off, sym
+// Observe feeds the session's events into the backend counters and the
+// pool's drain and slot bookkeeping.
+func (p *placement) Observe(ev scserve.Event, v scserve.Verdict) {
+	switch ev {
+	case scserve.EventOpened:
+		p.b.sessions.Add(1)
+		p.landed = true
+	case scserve.EventResumed:
+		p.b.resumes.Add(1)
+	case scserve.EventRedirect:
+		p.g.pool.drainRedirects.Add(1)
+	case scserve.EventFailed:
+		if p.b != nil {
+			p.b.errors.Add(1)
+		}
+	case scserve.EventVerdict:
+		switch {
+		case v.Draining():
+			// The backend is draining, not overloaded: mark it so
+			// placement avoids it and give the slot back.
+			p.g.pool.setDraining(p.b, true)
+			p.Release()
+		case v.Busy():
+			// At capacity: one-shot sessions give their slot back to
+			// re-place least-loaded; tokened ones stay pinned.
+			if p.token == "" {
+				p.Release()
+			}
+		case v.Code == scserve.VerdictAccept:
+			p.b.accepts.Add(1)
+		case v.Code == scserve.VerdictReject:
+			p.b.rejects.Add(1)
+		}
 	}
 }
 
-// push streams the buffer's unsent tail on the current connection,
-// polling for acks (and an early verdict) at the configured cadence.
-func (s *Session) push() error {
-	chunk := s.g.cfg.PollEvery
-	for s.sent < s.total {
-		if _, ok := s.sess.Early(); ok {
-			// Early verdict: the server is draining. Stop streaming;
-			// Finish delivers it.
-			s.sent = s.total
-			return nil
-		}
-		tail := s.buf[s.sent:]
-		n := len(tail)
-		if n > chunk {
-			n = chunk
-		}
-		if err := s.sess.SendBytes(tail[:n]); err != nil {
-			return err
-		}
-		s.sent += int64(n)
-		s.unpoll += n
-		if s.unpoll >= s.g.cfg.PollEvery {
-			s.unpoll = 0
-			if err := s.sess.Flush(); err != nil {
-				return err
-			}
-			if err := s.sess.Poll(); err != nil {
-				return err
-			}
-			s.updateAcked()
-		}
-	}
-	return nil
-}
-
-// fail drops the connection after a transport error. The slot is kept:
-// placement on the next ensure decides whether it moves.
-func (s *Session) fail() { s.dropConn() }
-
-// shedVerdict finalizes a shed session with the busy verdict.
-func (s *Session) shedVerdict(err error) scserve.Verdict {
-	v := scserve.BusyVerdict(fmt.Sprintf("grid: %v", errors.Unwrap(err)))
-	s.shed = &v
-	s.releaseSlot()
-	return v
-}
-
-// SendBytes appends raw descriptor wire bytes to the logical stream and
-// streams them (with any unsent tail) through the current backend,
-// retrying, resuming, and failing over as needed. The bytes need not
-// align with symbol boundaries.
-func (s *Session) SendBytes(raw []byte) error {
-	if s.done {
-		return errors.New("scgrid: send after Finish")
-	}
-	if s.shed != nil {
-		return nil // verdict already decided; Finish reports it
-	}
-	if len(s.buf)+len(raw) > s.g.cfg.MaxBuffer {
-		return fmt.Errorf("scgrid: stream exceeds replay buffer limit %d (grid sessions buffer the whole stream for failover)", s.g.cfg.MaxBuffer)
-	}
-	s.buf = append(s.buf, raw...)
-	s.total += int64(len(raw))
-
-	var lastErr error
-	for attempt := 0; attempt < s.g.cfg.MaxAttempts; attempt++ {
-		if attempt > 0 {
-			s.backoff(attempt - 1)
-		}
-		if err := s.ensure(); err != nil {
-			if errors.Is(err, errShed) {
-				s.shedVerdict(err)
-				return nil
-			}
-			if errors.Is(err, errResumeMiss) {
-				attempt-- // a miss answer is progress, not a failed attempt
-			}
-			lastErr = err
-			continue
-		}
-		if err := s.push(); err != nil {
-			lastErr = err
-			s.fail()
-			continue
-		}
-		return nil
-	}
-	s.releaseSlot()
-	return fmt.Errorf("scgrid: send failed after %d attempts: %w", s.g.cfg.MaxAttempts, lastErr)
-}
-
-// Send encodes and streams the given symbols.
-func (s *Session) Send(syms ...descriptor.Symbol) error {
-	var scratch []byte
-	for _, sym := range syms {
-		scratch = descriptor.AppendBinary(scratch, sym)
-	}
-	return s.SendBytes(scratch)
-}
-
-// Finish concludes the session and returns the verdict. Backend busy
-// verdicts are retried with backoff (restarting the session); admission
-// sheds return the grid's busy verdict. Every non-busy verdict returned
-// was produced by a backend's checker over exactly the bytes this
-// session streamed.
-func (s *Session) Finish() (scserve.Verdict, error) {
-	if s.done {
-		return scserve.Verdict{}, errors.New("scgrid: session already finished")
-	}
-	if s.shed != nil {
-		s.done = true
-		return *s.shed, nil
-	}
-	var lastErr error
-	redirects := 0
-	skipBackoff := false
-	for attempt := 0; attempt < s.g.cfg.MaxAttempts; attempt++ {
-		if attempt > 0 && !skipBackoff {
-			s.backoff(attempt - 1)
-		}
-		skipBackoff = false
-		if err := s.ensure(); err != nil {
-			if errors.Is(err, errShed) {
-				s.done = true
-				return s.shedVerdict(err), nil
-			}
-			if errors.Is(err, errResumeMiss) {
-				attempt--
-			}
-			lastErr = err
-			continue
-		}
-		if err := s.push(); err != nil {
-			lastErr = err
-			s.fail()
-			continue
-		}
-		v, err := s.sess.Finish()
-		s.sess = nil
-		if err != nil {
-			lastErr = err
-			s.fail()
-			continue
-		}
-		if v.Busy() {
-			lastErr = v.Err()
-			s.dropConn()
-			if v.Draining() {
-				// The backend is draining, not overloaded: mark it so
-				// placement avoids it, give the slot back, and redirect
-				// immediately — a drain is an explicit "go elsewhere", so
-				// it costs neither a retry attempt nor a backoff sleep.
-				s.g.pool.setDraining(s.b, true)
-				if redirects < maxDrainRedirects {
-					redirects++
-					s.g.pool.drainRedirects.Add(1)
-					s.releaseSlot()
-					s.sent = s.base
-					attempt--
-					skipBackoff = true
-					continue
-				}
-			}
-			// The backend itself is at capacity: back off and restart.
-			// One-shot sessions give their slot back so the retry can
-			// re-place least-loaded; tokened ones stay with their
-			// rendezvous backend.
-			if s.hdr.Token == "" {
-				s.releaseSlot()
-			}
-			s.sent = s.base
-			continue
-		}
-		switch v.Code {
-		case scserve.VerdictAccept:
-			s.b.accepts.Add(1)
-		case scserve.VerdictReject:
-			s.b.rejects.Add(1)
-		}
-		s.done = true
-		s.dropConn()
-		s.releaseSlot()
-		return v, nil
-	}
-	s.done = true
-	if s.b != nil {
-		s.b.errors.Add(1)
-	}
-	s.dropConn()
-	s.releaseSlot()
-	return scserve.Verdict{}, fmt.Errorf("scgrid: session failed after %d attempts: %w", s.g.cfg.MaxAttempts, lastErr)
-}
-
-// Dialer adapts a faultnet-style DialContext (network first) to
-// Config.Dial's addr-only signature over TCP.
-func Dialer(dc func(ctx context.Context, network, addr string) (net.Conn, error)) func(ctx context.Context, addr string) (net.Conn, error) {
-	return func(ctx context.Context, addr string) (net.Conn, error) {
-		return dc(ctx, "tcp", addr)
+// Release gives the session's slot back.
+func (p *placement) Release() {
+	if p.b != nil {
+		p.b.release()
+		p.b = nil
 	}
 }

@@ -117,6 +117,18 @@ func newTestGrid(t *testing.T, cfg Config, tbs ...*testBackend) *Grid {
 	return g
 }
 
+// heldBackend returns the address of the backend holding an in-flight
+// slot — in a single-session test, the backend serving that session —
+// or "" when no slot is held.
+func heldBackend(g *Grid) string {
+	for _, bs := range g.Stats().Backends {
+		if bs.InFlight > 0 {
+			return bs.Addr
+		}
+	}
+	return ""
+}
+
 // TestGridCheckBasic: accepts and rejects through the grid match the
 // a-priori verdicts of the synthetic streams, and sessions actually
 // spread across both backends.
@@ -167,7 +179,7 @@ func TestGridCheckBasic(t *testing.T) {
 // that backend remaps only its tokens; re-admission maps them back.
 func TestRendezvousPinning(t *testing.T) {
 	addrs := []string{"10.0.0.1:1", "10.0.0.2:1", "10.0.0.3:1", "10.0.0.4:1"}
-	g, err := New(addrs, Config{ProbeInterval: -1, Seed: 7})
+	g, err := New(addrs, Config{ProbeInterval: -1, RetryConfig: scserve.RetryConfig{Seed: 7}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +233,7 @@ func TestRendezvousPinning(t *testing.T) {
 // TestP2CPrefersLessLoaded: with one backend artificially loaded, the
 // two-choice draw places the bulk of one-shot sessions on the idle one.
 func TestP2CPrefersLessLoaded(t *testing.T) {
-	g, err := New([]string{"10.0.0.1:1", "10.0.0.2:1"}, Config{ProbeInterval: -1, Seed: 11, MaxInFlight: 1000})
+	g, err := New([]string{"10.0.0.1:1", "10.0.0.2:1"}, Config{ProbeInterval: -1, MaxInFlight: 1000, RetryConfig: scserve.RetryConfig{Seed: 11}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,8 +269,10 @@ func TestGridResumeOnBlip(t *testing.T) {
 	tb := startBackend(t, scserve.Config{AckInterval: 16})
 	fd := faultnet.NewDialer(faultnet.Config{Seed: 3, ResetAfterBytes: 4 << 10})
 	g := newTestGrid(t, Config{
-		Dial:      Dialer(fd.DialContext),
-		PollEvery: 512,
+		RetryConfig: scserve.RetryConfig{
+			Dial:      fd.Dial,
+			PollEvery: 512,
+		},
 	}, tb)
 
 	h := scserve.SyntheticHeader()
@@ -290,7 +304,7 @@ func TestGridFailoverOnBackendDeath(t *testing.T) {
 	b1 := startBackend(t, scserve.Config{AckInterval: 16})
 	b2 := startBackend(t, scserve.Config{AckInterval: 16})
 	tbs := []*testBackend{b1, b2}
-	g := newTestGrid(t, Config{PollEvery: 256}, b1, b2)
+	g := newTestGrid(t, Config{RetryConfig: scserve.RetryConfig{PollEvery: 256}}, b1, b2)
 
 	h := scserve.SyntheticHeader()
 	h.Token = scserve.NewToken()
@@ -305,7 +319,7 @@ func TestGridFailoverOnBackendDeath(t *testing.T) {
 	if err := s.Send(stream[:half]...); err != nil {
 		t.Fatal(err)
 	}
-	pinnedAddr := s.Backend()
+	pinnedAddr := heldBackend(g)
 	var victim, survivor *testBackend
 	for _, tb := range tbs {
 		if tb.addr == pinnedAddr {
@@ -329,7 +343,7 @@ func TestGridFailoverOnBackendDeath(t *testing.T) {
 	if v.Code != scserve.VerdictReject || v.Symbol != rejIdx {
 		t.Fatalf("verdict %s, want reject at symbol %d — failover replay lost bytes", v, rejIdx)
 	}
-	if got := s.Backend(); got != survivor.addr && got != "" {
+	if got := heldBackend(g); got != survivor.addr && got != "" {
 		t.Fatalf("session finished on %s, want the survivor %s", got, survivor.addr)
 	}
 	st := g.Stats()
@@ -358,7 +372,7 @@ func TestGridFailoverOnBackendDeath(t *testing.T) {
 // session must restart fresh on the same backend and still be right.
 func TestGridFreshStartAfterRestart(t *testing.T) {
 	tb := startBackend(t, scserve.Config{AckInterval: 8})
-	g := newTestGrid(t, Config{PollEvery: 128}, tb)
+	g := newTestGrid(t, Config{RetryConfig: scserve.RetryConfig{PollEvery: 128}}, tb)
 
 	h := scserve.SyntheticHeader()
 	h.Token = scserve.NewToken()
@@ -479,7 +493,7 @@ func TestGridSmokeKillBackend(t *testing.T) {
 		startBackend(t, scserve.Config{AckInterval: 16}),
 		startBackend(t, scserve.Config{AckInterval: 16}),
 	}
-	g := newTestGrid(t, Config{PollEvery: 256, QueueWait: 5 * time.Second}, tbs[0], tbs[1], tbs[2])
+	g := newTestGrid(t, Config{QueueWait: 5 * time.Second, RetryConfig: scserve.RetryConfig{PollEvery: 256}}, tbs[0], tbs[1], tbs[2])
 
 	const sessions = 36
 	rejStream, rejIdx := scserve.SyntheticReject(200)

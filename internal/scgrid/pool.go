@@ -7,7 +7,6 @@ import (
 	"hash/maphash"
 	"log/slog"
 	"math/rand"
-	"net"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -42,31 +41,10 @@ type Config struct {
 	// returns the capacity answer early rather than stacking latency on a
 	// queue that isn't draining. Default 2s.
 	QueueWait time.Duration
-	// Timeout is the per-operation I/O deadline on backend connections
-	// (dial, frame read, frame write). Default 10s.
-	Timeout time.Duration
-	// MaxAttempts bounds connection attempts per session operation.
-	// Default 5.
-	MaxAttempts int
-	// BaseDelay and MaxDelay bound the jittered exponential backoff
-	// between attempts. Defaults 50ms and 2s.
-	BaseDelay time.Duration
-	MaxDelay  time.Duration
-	// MaxBuffer caps a session's replay buffer. Grid sessions buffer
-	// their whole stream — failing over to a different backend means
-	// replaying from byte zero — so this bounds the longest stream a
-	// session may carry; beyond it the session degrades to a clean error.
-	// Default 16 MiB.
-	MaxBuffer int
-	// PollEvery is the number of streamed bytes between ack polls.
-	// Default 32 KiB.
-	PollEvery int
-	// Seed makes backoff jitter, probe jitter, and p2c draws
-	// deterministic for tests; 0 seeds from the wall clock.
-	Seed int64
-	// Dial overrides the transport, e.g. faultnet's Dialer.DialContext
-	// partially applied to "tcp". Defaults to a net.Dialer.
-	Dial func(ctx context.Context, addr string) (net.Conn, error)
+	// RetryConfig is the session policy of the engine every grid session
+	// runs on. Its Seed also seeds probe jitter and p2c draws, and its
+	// Dial and Timeout serve probes and the proxy too.
+	scserve.RetryConfig
 	// Logf, when set, receives pool-level diagnostics (ejections,
 	// re-admissions, failovers).
 	Logf func(format string, args ...any)
@@ -95,42 +73,18 @@ func (c Config) withDefaults() Config {
 	if c.QueueWait <= 0 {
 		c.QueueWait = 2 * time.Second
 	}
-	if c.Timeout <= 0 {
-		c.Timeout = 10 * time.Second
-	}
-	if c.MaxAttempts <= 0 {
-		c.MaxAttempts = 5
-	}
-	if c.BaseDelay <= 0 {
-		c.BaseDelay = 50 * time.Millisecond
-	}
-	if c.MaxDelay <= 0 {
-		c.MaxDelay = 2 * time.Second
-	}
-	if c.MaxBuffer <= 0 {
-		c.MaxBuffer = 16 << 20
-	}
-	if c.PollEvery <= 0 {
-		c.PollEvery = 32 << 10
-	}
-	if c.Dial == nil {
-		c.Dial = func(ctx context.Context, addr string) (net.Conn, error) {
-			var d net.Dialer
-			return d.DialContext(ctx, "tcp", addr)
-		}
-	}
+	c.RetryConfig = c.RetryConfig.WithDefaults()
 	return c
 }
-
-// maxDrainRedirects bounds how many consecutive draining verdicts a
-// session follows without spending a retry attempt: every healthy backend
-// draining at once (a stuck full-fleet drain) must degrade to the normal
-// busy backoff, not an unmetered hot loop.
-const maxDrainRedirects = 4
 
 // errShed is the admission layer giving up on a slot within the queue
 // deadline; it surfaces to callers as the busy verdict.
 var errShed = errors.New("scgrid: session shed by admission control")
+
+// shedVerdict is the busy verdict a shed session gets.
+func shedVerdict(err error) scserve.Verdict {
+	return scserve.BusyVerdict(fmt.Sprintf("grid: %v", errors.Unwrap(err)))
+}
 
 // errNoBackend means the healthy set is empty right now (retryable: a
 // probe may re-admit a backend).
@@ -415,18 +369,6 @@ func (p *pool) tryAcquireP2C() (*backend, error) {
 	return nil, nil // all slots busy: admission decides whether to wait
 }
 
-// tryAcquirePinned reserves a slot on the token's rendezvous backend.
-func (p *pool) tryAcquirePinned(token string) (*backend, error) {
-	b := p.pinned(token)
-	if b == nil {
-		return nil, errNoBackend
-	}
-	if b.tryAcquire(p.cfg.MaxInFlight) {
-		return b, nil
-	}
-	return nil, nil
-}
-
 // admitPoll is how often a queued session re-checks for a free slot.
 const admitPoll = 2 * time.Millisecond
 
@@ -449,8 +391,10 @@ func (p *pool) acquire(token string, wait time.Duration) (*backend, error) {
 		var err error
 		if token == "" {
 			b, err = p.tryAcquireP2C()
-		} else {
-			b, err = p.tryAcquirePinned(token)
+		} else if b = p.pinned(token); b == nil {
+			err = errNoBackend
+		} else if !b.tryAcquire(p.cfg.MaxInFlight) {
+			b = nil // pinned backend full: wait for its slot
 		}
 		if b != nil {
 			return b, nil

@@ -7,6 +7,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"scverify/internal/scserve"
 )
 
 // TestPoolInFlightAccountingUnderRace pins the pool's client-side slot
@@ -21,7 +23,7 @@ import (
 // regression for the backend health fields the storm's ejections touch.
 func TestPoolInFlightAccountingUnderRace(t *testing.T) {
 	const capPer = 4
-	cfg := Config{MaxInFlight: capPer, QueueWait: 50 * time.Millisecond, Seed: 1, ProbeInterval: -1}.withDefaults()
+	cfg := Config{MaxInFlight: capPer, QueueWait: 50 * time.Millisecond, ProbeInterval: -1, RetryConfig: scserve.RetryConfig{Seed: 1}}.withDefaults()
 	p := newPool([]string{"a:1", "b:1", "c:1"}, cfg)
 	defer p.close()
 

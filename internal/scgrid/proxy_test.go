@@ -109,7 +109,6 @@ func TestProxyResume(t *testing.T) {
 		MaxDelay:  100 * time.Millisecond,
 		Dial:      fd.Dial,
 	})
-	defer rc.Close()
 
 	v, err := rc.Check(scserve.SyntheticHeader(), scserve.SyntheticAccept(2000))
 	if err != nil {

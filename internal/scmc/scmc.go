@@ -187,7 +187,7 @@ func Verify(ctx context.Context, addrs []string, opts Options) Result {
 	// backends participate. The healthy list, in address order, IS the
 	// shard identity list — every backend receives it verbatim in its
 	// hello, so all shards compute the same rendezvous partition.
-	grid, err := scgrid.New(addrs, scgrid.Config{ProbeInterval: -1, Seed: 1, Dial: dial, Logf: opts.Logf})
+	grid, err := scgrid.New(addrs, scgrid.Config{ProbeInterval: -1, RetryConfig: scserve.RetryConfig{Seed: 1, Dial: dial}, Logf: opts.Logf})
 	if err != nil {
 		return fail(err)
 	}

@@ -76,63 +76,45 @@ func (c *Client) armWrite() {
 
 // Stats fetches the server's counters. Not available while a session is
 // open on this connection.
-func (c *Client) Stats() (Stats, error) {
-	if c.open != nil {
-		return Stats{}, fmt.Errorf("scserve: stats request inside an open session")
-	}
-	c.armWrite()
-	if err := writeFrame(c.bw, frameStatsReq, nil); err != nil {
-		return Stats{}, err
-	}
-	if err := c.bw.Flush(); err != nil {
-		return Stats{}, err
-	}
-	c.armRead()
-	typ, payload, err := readFrame(c.br, 1<<20)
-	if err != nil {
-		return Stats{}, fmt.Errorf("scserve: stats read: %w", err)
-	}
-	if typ != frameStatsReply {
-		return Stats{}, fmt.Errorf("scserve: stats request answered by frame type %#x", typ)
-	}
-	var st Stats
-	if err := json.Unmarshal(payload, &st); err != nil {
-		return Stats{}, fmt.Errorf("scserve: stats payload: %w", err)
-	}
-	return st, nil
-}
+func (c *Client) Stats() (Stats, error) { return c.admin("stats", frameStatsReq, nil) }
 
 // Drain sends the drain admin frame, flipping the server into draining
 // mode (it refuses fresh hellos with the draining verdict but keeps
 // serving in-flight and resuming sessions). The server answers with a
 // stats snapshot whose Draining bit reflects the new mode.
-func (c *Client) Drain() (Stats, error) { return c.drain(1) }
+func (c *Client) Drain() (Stats, error) {
+	return c.admin("drain", frameDrain, binary.AppendUvarint(nil, 1))
+}
 
 // Undrain lifts the server's drain mode.
-func (c *Client) Undrain() (Stats, error) { return c.drain(0) }
+func (c *Client) Undrain() (Stats, error) {
+	return c.admin("drain", frameDrain, binary.AppendUvarint(nil, 0))
+}
 
-func (c *Client) drain(mode uint64) (Stats, error) {
+// admin sends one admin frame outside any session and reads the stats
+// snapshot the server answers it with.
+func (c *Client) admin(what string, typ byte, payload []byte) (Stats, error) {
 	if c.open != nil {
-		return Stats{}, fmt.Errorf("scserve: drain request inside an open session")
+		return Stats{}, fmt.Errorf("scserve: %s request inside an open session", what)
 	}
 	c.armWrite()
-	if err := writeFrame(c.bw, frameDrain, binary.AppendUvarint(nil, mode)); err != nil {
+	if err := writeFrame(c.bw, typ, payload); err != nil {
 		return Stats{}, err
 	}
 	if err := c.bw.Flush(); err != nil {
 		return Stats{}, err
 	}
 	c.armRead()
-	typ, payload, err := readFrame(c.br, 1<<20)
+	rtyp, reply, err := readFrame(c.br, 1<<20)
 	if err != nil {
-		return Stats{}, fmt.Errorf("scserve: drain read: %w", err)
+		return Stats{}, fmt.Errorf("scserve: %s read: %w", what, err)
 	}
-	if typ != frameStatsReply {
-		return Stats{}, fmt.Errorf("scserve: drain request answered by frame type %#x", typ)
+	if rtyp != frameStatsReply {
+		return Stats{}, fmt.Errorf("scserve: %s request answered by frame type %#x", what, rtyp)
 	}
 	var st Stats
-	if err := json.Unmarshal(payload, &st); err != nil {
-		return Stats{}, fmt.Errorf("scserve: drain stats payload: %w", err)
+	if err := json.Unmarshal(reply, &st); err != nil {
+		return Stats{}, fmt.Errorf("scserve: %s stats payload: %w", what, err)
 	}
 	return st, nil
 }
@@ -186,8 +168,6 @@ func (c *Client) resumeHandshake(s *Session) error {
 // concluded by Finish.
 type Session struct {
 	c       *Client
-	symbols int
-	bytes   int64
 	scratch []byte
 	done    bool
 
@@ -195,13 +175,6 @@ type Session struct {
 	ackOff int64    // highest server-acked byte offset, -1 before any ack
 	early  *Verdict // verdict received before Finish (early rejection, busy)
 }
-
-// Symbols returns the number of symbols sent so far via Send (SendBytes
-// payloads are counted as raw bytes only).
-func (s *Session) Symbols() int { return s.symbols }
-
-// Bytes returns the number of stream bytes sent so far.
-func (s *Session) Bytes() int64 { return s.bytes }
 
 // Early returns the verdict the server delivered before Finish — an
 // early rejection, a busy verdict, or a resume handshake answered by a
@@ -253,11 +226,7 @@ func (s *Session) Send(syms ...descriptor.Symbol) error {
 	for _, sym := range syms {
 		s.scratch = descriptor.AppendBinary(s.scratch, sym)
 	}
-	if err := s.SendBytes(s.scratch); err != nil {
-		return err
-	}
-	s.symbols += len(syms)
-	return nil
+	return s.SendBytes(s.scratch)
 }
 
 // SendBytes streams raw descriptor wire bytes, split into frames of at
@@ -284,7 +253,6 @@ func (s *Session) SendBytes(raw []byte) error {
 		if err := writeFrame(s.c.bw, frameSymbols, raw[:n]); err != nil {
 			return fmt.Errorf("scserve: send: %w", err)
 		}
-		s.bytes += int64(n)
 		raw = raw[n:]
 	}
 	return nil

@@ -239,7 +239,6 @@ func TestDrainUnderRetryClient(t *testing.T) {
 	rc := NewRetryClient(addr, RetryConfig{
 		Timeout: 5 * time.Second, MaxAttempts: 2, BaseDelay: time.Millisecond, Seed: 1,
 	})
-	defer rc.Close()
 	start := time.Now()
 	_, err := rc.Check(SyntheticHeader(), SyntheticAccept(9))
 	if err == nil {

@@ -33,7 +33,8 @@ const exploreReportInterval = 50 * time.Millisecond
 // coordinator degrades to an incomplete grid verdict, never a verified.
 func (s *Server) runExploreSession(conn net.Conn, br *bufio.Reader, bw *bufio.Writer, h Header) bool {
 	id := s.sessionsTotal.Add(1)
-	defer s.adm.release(h.Tenant)
+	release := s.slotRelease(h.Tenant)
+	defer release()
 	if tc := s.tenantC(h.Tenant, true); tc != nil {
 		tc.sessions.Add(1)
 	}
@@ -43,7 +44,8 @@ func (s *Server) runExploreSession(conn net.Conn, br *bufio.Reader, bw *bufio.Wr
 		"protocol", eh.Protocol, "shard", eh.Shard, "shards", len(eh.Shards))
 
 	fail := func(msg string) bool {
-		s.sendVerdict(conn, bw, Verdict{Code: VerdictProtocolError, Symbol: -1, Offset: -1, Msg: msg})
+		release()
+		s.sendVerdict(conn, bw, ErrorVerdict(msg))
 		return false
 	}
 
@@ -190,6 +192,7 @@ func (s *Server) runExploreSession(conn net.Conn, br *bufio.Reader, bw *bufio.Wr
 				return false
 			}
 			v := Verdict{Code: VerdictAccept, Symbol: -1, Offset: -1, Msg: "explore session closed"}
+			release()
 			s.countTenantVerdict(h.Tenant, v)
 			s.event("verdict", "session", id, "tenant", h.Tenant, "code", v.Code.String())
 			if err := s.sendVerdict(conn, bw, v); err != nil {

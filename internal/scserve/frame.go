@@ -449,12 +449,18 @@ func (v Verdict) Busy() bool {
 	return v.Code == VerdictProtocolError && strings.HasPrefix(v.Msg, busyPrefix)
 }
 
+// ErrorVerdict builds a protocol-error verdict: the session produced no
+// checker verdict, for the reason msg gives.
+func ErrorVerdict(msg string) Verdict {
+	return Verdict{Code: VerdictProtocolError, Symbol: -1, Offset: -1, Msg: msg}
+}
+
 // BusyVerdict builds the clean capacity-rejection verdict (Verdict.Busy
 // reports true for it). The server uses it when at session capacity; the
 // scgrid admission layer sheds over-deadline sessions with the same
 // verdict so clients see one retryable vocabulary either way.
 func BusyVerdict(msg string) Verdict {
-	return Verdict{Code: VerdictProtocolError, Symbol: -1, Offset: -1, Msg: busyPrefix + msg}
+	return ErrorVerdict(busyPrefix + msg)
 }
 
 // Draining reports whether the verdict is a draining backend declining a
@@ -471,7 +477,7 @@ func (v Verdict) Draining() bool {
 // resuming sessions are unaffected: drain refuses new work while the
 // token/checkpoint machinery hands the old work off.
 func DrainingVerdict(msg string) Verdict {
-	return Verdict{Code: VerdictProtocolError, Symbol: -1, Offset: -1, Msg: drainingPrefix + msg}
+	return ErrorVerdict(drainingPrefix + msg)
 }
 
 // Quota reports whether the verdict is a per-tenant quota rejection —
@@ -485,7 +491,7 @@ func (v Verdict) Quota() bool {
 // QuotaVerdict builds the per-tenant quota rejection (Quota and Busy both
 // report true for it).
 func QuotaVerdict(msg string) Verdict {
-	return Verdict{Code: VerdictProtocolError, Symbol: -1, Offset: -1, Msg: quotaPrefix + msg}
+	return ErrorVerdict(quotaPrefix + msg)
 }
 
 // ResumeMiss reports whether the verdict is the server declining a resume

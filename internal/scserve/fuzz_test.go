@@ -3,6 +3,7 @@ package scserve
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"io"
 	"net"
 	"sync/atomic"
@@ -191,8 +192,8 @@ func FuzzRetryClient(f *testing.F) {
 		nFaulty := int64(faulty % 3) // at most 2 faulty dials, then clean
 
 		var dials atomic.Int64
-		dial := func(addr string, timeout time.Duration) (net.Conn, error) {
-			conn, err := net.DialTimeout("tcp", addr, timeout)
+		dial := func(ctx context.Context, addr string) (net.Conn, error) {
+			conn, err := (&net.Dialer{}).DialContext(ctx, "tcp", addr)
 			if err != nil {
 				return nil, err
 			}
@@ -209,7 +210,6 @@ func FuzzRetryClient(f *testing.F) {
 			Timeout: 5 * time.Second, MaxAttempts: 8, BaseDelay: time.Millisecond,
 			Seed: seed, PollEvery: 1 << 10, Dial: dial,
 		})
-		defer rc.Close()
 		v, err := rc.Check(SyntheticHeader(), stream)
 		if err != nil {
 			t.Fatalf("faults must degrade to retries, not errors (seed=%d reset=%d faulty=%d): %v",

@@ -1,6 +1,7 @@
 package scserve
 
 import (
+	"context"
 	"net"
 	"sync/atomic"
 	"testing"
@@ -74,8 +75,8 @@ func TestRetryClientResumes(t *testing.T) {
 
 	var dials atomic.Int64
 	var conn2Bytes atomic.Int64
-	dial := func(addr string, timeout time.Duration) (net.Conn, error) {
-		conn, err := net.DialTimeout("tcp", addr, timeout)
+	dial := func(ctx context.Context, addr string) (net.Conn, error) {
+		conn, err := (&net.Dialer{}).DialContext(ctx, "tcp", addr)
 		if err != nil {
 			return nil, err
 		}
@@ -91,7 +92,6 @@ func TestRetryClientResumes(t *testing.T) {
 		Timeout: 5 * time.Second, BaseDelay: time.Millisecond, Seed: 1,
 		PollEvery: 2 << 10, Dial: dial,
 	})
-	defer rc.Close()
 
 	sess, err := rc.Session(SyntheticHeader())
 	if err != nil {
@@ -155,7 +155,6 @@ func TestRetryClientBusy(t *testing.T) {
 	rc := NewRetryClient(addr, RetryConfig{
 		Timeout: 5 * time.Second, BaseDelay: 25 * time.Millisecond, MaxAttempts: 10, Seed: 1,
 	})
-	defer rc.Close()
 	v, err := rc.Check(SyntheticHeader(), SyntheticAccept(30))
 	if err != nil {
 		t.Fatalf("retry across busy failed: %v", err)
@@ -183,7 +182,6 @@ func TestRetryClientGivesUp(t *testing.T) {
 	rc := NewRetryClient(addr, RetryConfig{
 		Timeout: time.Second, MaxAttempts: 3, BaseDelay: time.Millisecond, Seed: 1,
 	})
-	defer rc.Close()
 	start := time.Now()
 	if _, err := rc.Check(SyntheticHeader(), SyntheticAccept(10)); err == nil {
 		t.Fatal("expected an error with no server listening")
@@ -202,7 +200,6 @@ func TestRetryBufferLimit(t *testing.T) {
 		Timeout: 2 * time.Second, BaseDelay: time.Millisecond, Seed: 1,
 		MaxBuffer: 1 << 10,
 	})
-	defer rc.Close()
 	sess, err := rc.Session(SyntheticHeader())
 	if err != nil {
 		t.Fatal(err)

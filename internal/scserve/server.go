@@ -677,8 +677,7 @@ func (s *Server) handleConn(conn net.Conn) {
 			// (which carries the resulting Draining bit).
 			mode, n := binary.Uvarint(payload)
 			if n <= 0 || n != len(payload) || mode > 1 {
-				s.sendVerdict(conn, bw, Verdict{Code: VerdictProtocolError, Symbol: -1, Offset: -1,
-					Msg: "drain: malformed payload"})
+				s.sendVerdict(conn, bw, ErrorVerdict("drain: malformed payload"))
 				return
 			}
 			if mode == 1 {
@@ -693,11 +692,10 @@ func (s *Server) handleConn(conn net.Conn) {
 			h, herr := parseHello(payload)
 			switch {
 			case herr != nil:
-				s.sendVerdict(conn, bw, Verdict{Code: VerdictProtocolError, Symbol: -1, Offset: -1, Msg: herr.Error()})
+				s.sendVerdict(conn, bw, ErrorVerdict(herr.Error()))
 				return
 			case h.K < 1 || h.K > s.cfg.MaxK:
-				s.sendVerdict(conn, bw, Verdict{Code: VerdictProtocolError, Symbol: -1, Offset: -1,
-					Msg: fmt.Sprintf("hello: k=%d outside 1..%d", h.K, s.cfg.MaxK)})
+				s.sendVerdict(conn, bw, ErrorVerdict(fmt.Sprintf("hello: k=%d outside 1..%d", h.K, s.cfg.MaxK)))
 				return
 			}
 			if s.drainMode.Load() && !h.Resume {
@@ -705,32 +703,18 @@ func (s *Server) handleConn(conn net.Conn) {
 				// probes: the checkpointed sessions it still holds must be
 				// able to finish or replay their stored verdicts.
 				s.event("drain_reject", "tenant", h.Tenant, "remote", conn.RemoteAddr().String())
-				v := DrainingVerdict("backend draining; redirect or retry elsewhere")
-				s.countTenantVerdict(h.Tenant, v)
-				if err := s.sendVerdict(conn, bw, v); err != nil {
-					return
-				}
-				if !s.drainSession(conn, br, bw) {
+				if !s.refuse(conn, br, bw, h.Tenant, DrainingVerdict("backend draining; redirect or retry elsewhere")) {
 					return
 				}
 				continue
 			}
 			if res := s.adm.admit(h.Tenant); res != admitOK {
-				// Clean busy/quota rejection: deliver the verdict, absorb
-				// the session's frames, and keep the connection usable so
-				// the client can back off and retry without redialing.
-				var v Verdict
+				v := BusyVerdict(fmt.Sprintf("server at session capacity (%d)", s.cfg.MaxSessions))
 				if res == admitQuota {
 					v = QuotaVerdict(fmt.Sprintf("tenant %q at session cap (%d)", h.Tenant, s.cfg.TenantSessions))
 					s.event("quota_reject", "tenant", h.Tenant, "kind", "sessions")
-				} else {
-					v = BusyVerdict(fmt.Sprintf("server at session capacity (%d)", s.cfg.MaxSessions))
 				}
-				s.countTenantVerdict(h.Tenant, v)
-				if err := s.sendVerdict(conn, bw, v); err != nil {
-					return
-				}
-				if !s.drainSession(conn, br, bw) {
+				if !s.refuse(conn, br, bw, h.Tenant, v) {
 					return
 				}
 				continue
@@ -751,15 +735,13 @@ func (s *Server) handleConn(conn net.Conn) {
 					seed, rerr = s.resume.take(h.Token, h, func() { conn.Close() })
 					if rerr != nil {
 						s.adm.release(h.Tenant)
-						s.sendVerdict(conn, bw, Verdict{Code: VerdictProtocolError, Symbol: -1, Offset: -1,
-							Msg: rerr.Error()})
+						s.sendVerdict(conn, bw, ErrorVerdict(rerr.Error()))
 						return
 					}
 					if seed == nil {
 						s.adm.release(h.Tenant)
 						s.resumeMisses.Add(1)
-						s.sendVerdict(conn, bw, Verdict{Code: VerdictProtocolError, Symbol: -1, Offset: -1,
-							Msg: resumeMissPrefix + "unknown or expired session token"})
+						s.sendVerdict(conn, bw, ErrorVerdict(resumeMissPrefix + "unknown or expired session token"))
 						return
 					}
 				} else {
@@ -772,11 +754,20 @@ func (s *Server) handleConn(conn net.Conn) {
 				return
 			}
 		default:
-			s.sendVerdict(conn, bw, Verdict{Code: VerdictProtocolError, Symbol: -1, Offset: -1,
-				Msg: fmt.Sprintf("unexpected frame type %#x", typ)})
+			s.sendVerdict(conn, bw, ErrorVerdict(fmt.Sprintf("unexpected frame type %#x", typ)))
 			return
 		}
 	}
+}
+
+// refuse answers a hello with a clean busy-family verdict without
+// admitting the session: it delivers the verdict, absorbs the session's
+// frames, and keeps the connection usable so the client can back off
+// and retry without redialing. It reports whether the connection
+// survives.
+func (s *Server) refuse(conn net.Conn, br *bufio.Reader, bw *bufio.Writer, tenant string, v Verdict) bool {
+	s.countTenantVerdict(tenant, v)
+	return s.sendVerdict(conn, bw, v) == nil && s.drainSession(conn, br, bw)
 }
 
 // drainSession absorbs a rejected session's frames through its end frame
@@ -803,6 +794,21 @@ func (s *Server) drainSession(conn net.Conn, br *bufio.Reader, bw *bufio.Writer)
 	}
 }
 
+// slotRelease returns an idempotent release of an admitted session's
+// slot. A session calls it just before flushing its verdict — the
+// verdict is the session's last word, even when the connection goes on
+// absorbing an early-rejected stream's tail — and defers it for the
+// paths that end without one.
+func (s *Server) slotRelease(tenant string) func() {
+	released := false
+	return func() {
+		if !released {
+			released = true
+			s.adm.release(tenant)
+		}
+	}
+}
+
 // ackPos is a checkpointed position published by the checker goroutine
 // for the conn loop to ack.
 type ackPos struct {
@@ -813,10 +819,13 @@ type ackPos struct {
 // runSession drives one session to its verdict. It reports whether the
 // connection is still in a known-good state for another session.
 func (s *Server) runSession(conn net.Conn, br *bufio.Reader, bw *bufio.Writer, h Header, seed *resumeSeed) bool {
-	// The caller admitted the session (adm.admit); this defer releases
-	// its slot back to the fair-share gate.
+	// The caller admitted the session (adm.admit). The slot goes back to
+	// the fair-share gate before the session's verdict is flushed — a
+	// client holding its verdict never reads stale admission stats — or,
+	// on paths that end without a verdict, when runSession returns.
 	id := s.sessionsTotal.Add(1)
-	defer s.adm.release(h.Tenant)
+	release := s.slotRelease(h.Tenant)
+	defer release()
 	if tc := s.tenantC(h.Tenant, true); tc != nil {
 		tc.sessions.Add(1)
 	}
@@ -831,6 +840,7 @@ func (s *Server) runSession(conn net.Conn, br *bufio.Reader, bw *bufio.Writer, h
 	var resc chan Verdict
 
 	deliver := func(v Verdict) error {
+		release()
 		s.countTenantVerdict(h.Tenant, v)
 		s.event("verdict", "session", id, "tenant", h.Tenant, "code", v.Code.String(), "symbol", v.Symbol)
 		return s.sendVerdict(conn, bw, v)
@@ -851,6 +861,7 @@ func (s *Server) runSession(conn net.Conn, br *bufio.Reader, bw *bufio.Writer, h
 		// it. The checker is deterministic, so the stored verdict IS the
 		// verdict of the replayed stream — resend it and absorb the tail.
 		s.resumeReplays.Add(1)
+		release()
 		if err := s.writeVerdict(conn, bw, *seed.done); err != nil {
 			s.sessionsAborted.Add(1)
 			return false
@@ -935,8 +946,7 @@ func (s *Server) runSession(conn net.Conn, br *bufio.Reader, bw *bufio.Writer, h
 			}
 		default:
 			abort()
-			s.sendVerdict(conn, bw, Verdict{Code: VerdictProtocolError, Symbol: -1, Offset: -1,
-				Msg: fmt.Sprintf("unexpected frame type %#x inside session", typ)})
+			s.sendVerdict(conn, bw, ErrorVerdict(fmt.Sprintf("unexpected frame type %#x inside session", typ)))
 			return false
 		}
 		// Ack any checkpoint the checker published since the last frame.
@@ -1036,7 +1046,7 @@ func (s *Server) checkLoop(h Header, seed *resumeSeed, pipe *bpipe, resc chan<- 
 					Msg: "decode: " + de.Msg}
 			} else {
 				// Transport-level abort; the conn loop discards this.
-				resc <- Verdict{Code: VerdictProtocolError, Symbol: -1, Offset: -1, Msg: err.Error()}
+				resc <- ErrorVerdict(err.Error())
 			}
 			pipe.CloseRead(errSessionOver)
 			return

@@ -75,7 +75,7 @@ func TestChaosSoakRegistry(t *testing.T) {
 		Latency:         2 * time.Millisecond,
 		ResetAfterBytes: 20 << 10,
 	})
-	remote := RemoteCheckerRetry(ln.Addr().String(), scserve.RetryConfig{
+	remote := RemoteRun(scserve.NewRetryClient(ln.Addr().String(), scserve.RetryConfig{
 		Timeout:     5 * time.Second,
 		MaxAttempts: 10,
 		BaseDelay:   time.Millisecond,
@@ -83,7 +83,7 @@ func TestChaosSoakRegistry(t *testing.T) {
 		Seed:        seed + 1,
 		PollEvery:   4 << 10,
 		Dial:        dialer.Dial,
-	})
+	}))
 
 	params := trace.Params{Procs: 2, Blocks: 2, Values: 2}
 	cases := make([]chaosCase, 0, len(registry.Names()))

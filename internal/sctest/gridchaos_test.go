@@ -124,17 +124,19 @@ func TestGridChaosSoakRegistry(t *testing.T) {
 		ResetAfterBytes: 20 << 10,
 	})
 	g, err := scgrid.New(addrs, scgrid.Config{
-		Seed:          seed + 1,
-		Timeout:       5 * time.Second,
-		MaxAttempts:   10,
-		BaseDelay:     time.Millisecond,
-		MaxDelay:      50 * time.Millisecond,
-		PollEvery:     4 << 10,
 		QueueWait:     10 * time.Second,
 		ProbeInterval: 100 * time.Millisecond, // re-admit the restarted backend quickly
 		ReadmitDelay:  100 * time.Millisecond,
-		Dial:          scgrid.Dialer(dialer.DialContext),
 		Logf:          t.Logf,
+		RetryConfig: scserve.RetryConfig{
+			Seed:        seed + 1,
+			Timeout:     5 * time.Second,
+			MaxAttempts: 10,
+			BaseDelay:   time.Millisecond,
+			MaxDelay:    50 * time.Millisecond,
+			PollEvery:   4 << 10,
+			Dial:        dialer.Dial,
+		},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -144,7 +146,7 @@ func TestGridChaosSoakRegistry(t *testing.T) {
 	// invariant, any delivered tier must equal the local adjudication of
 	// the same run — faults may cost a missing tier (resumed sessions are
 	// not tiered), never a wrong one.
-	remote := GridChecker(g, Tiered())
+	remote := RemoteRun(g, Tiered())
 
 	params := trace.Params{Procs: 2, Blocks: 2, Values: 2}
 	cases := make([]chaosCase, 0, len(registry.Names()))

@@ -37,22 +37,24 @@ func TestGridSmokeDrainBackend(t *testing.T) {
 	backends := []*gridBackend{startGridBackend(t), startGridBackend(t), startGridBackend(t)}
 	addrs := []string{backends[0].addr, backends[1].addr, backends[2].addr}
 	g, err := scgrid.New(addrs, scgrid.Config{
-		Seed:          5,
-		Timeout:       5 * time.Second,
-		MaxAttempts:   5,
-		BaseDelay:     time.Millisecond,
-		MaxDelay:      50 * time.Millisecond,
-		PollEvery:     4 << 10,
 		QueueWait:     5 * time.Second,
 		ProbeInterval: 25 * time.Millisecond,
 		ReadmitDelay:  50 * time.Millisecond,
 		Logf:          t.Logf,
+		RetryConfig: scserve.RetryConfig{
+			Seed:        5,
+			Timeout:     5 * time.Second,
+			MaxAttempts: 5,
+			BaseDelay:   time.Millisecond,
+			MaxDelay:    50 * time.Millisecond,
+			PollEvery:   4 << 10,
+		},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer g.Close()
-	remote := GridChecker(g, WithTenant("smoke"))
+	remote := RemoteRun(g, WithTenant("smoke"))
 
 	params := trace.Params{Procs: 2, Blocks: 2, Values: 2}
 	names := registry.Names()
@@ -142,23 +144,25 @@ func TestGridRollingRestartSoak(t *testing.T) {
 		ResetAfterBytes: 20 << 10,
 	})
 	g, err := scgrid.New(addrs, scgrid.Config{
-		Seed:          seed + 1,
-		Timeout:       5 * time.Second,
-		MaxAttempts:   10,
-		BaseDelay:     time.Millisecond,
-		MaxDelay:      50 * time.Millisecond,
-		PollEvery:     4 << 10,
 		QueueWait:     10 * time.Second,
 		ProbeInterval: 50 * time.Millisecond,
 		ReadmitDelay:  100 * time.Millisecond,
-		Dial:          scgrid.Dialer(dialer.DialContext),
 		Logf:          t.Logf,
+		RetryConfig: scserve.RetryConfig{
+			Seed:        seed + 1,
+			Timeout:     5 * time.Second,
+			MaxAttempts: 10,
+			BaseDelay:   time.Millisecond,
+			MaxDelay:    50 * time.Millisecond,
+			PollEvery:   4 << 10,
+			Dial:        dialer.Dial,
+		},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer g.Close()
-	remote := GridChecker(g, Tiered(), WithTenant("soak"))
+	remote := RemoteRun(g, Tiered(), WithTenant("soak"))
 
 	params := trace.Params{Procs: 2, Blocks: 2, Values: 2}
 	cases := make([]chaosCase, 0, len(registry.Names()))

@@ -3,13 +3,9 @@ package sctest
 import (
 	"errors"
 	"fmt"
-	"sync"
-	"time"
 
 	"scverify/internal/checker"
-	"scverify/internal/descriptor"
 	"scverify/internal/history"
-	"scverify/internal/scgrid"
 	"scverify/internal/scserve"
 	"scverify/internal/spectrum"
 )
@@ -20,67 +16,6 @@ import (
 // safe for concurrent campaign workers.
 type HistoryChecker func(l *history.Lowering) error
 
-// HistoryRemoteChecker adjudicates lowerings against an scserve service:
-// the lowering still happens locally, but the descriptor stream is
-// shipped over a retrying session and the service's verdict decides the
-// history. Transport failures are prefixed "sctest: remote" like
-// RemoteChecker's.
-func HistoryRemoteChecker(addr string, timeout time.Duration, opts ...CheckOpt) HistoryChecker {
-	return HistoryRemoteCheckerRetry(addr, scserve.RetryConfig{Timeout: timeout}, opts...)
-}
-
-// HistoryRemoteCheckerRetry is HistoryRemoteChecker with the full retry
-// policy exposed. Each call opens its own RetryClient, so the checker is
-// safe for concurrent campaign workers.
-func HistoryRemoteCheckerRetry(addr string, cfg scserve.RetryConfig, opts ...CheckOpt) HistoryChecker {
-	return func(l *history.Lowering) error {
-		rc := scserve.NewRetryClient(addr, cfg)
-		defer rc.Close()
-		hdr := historyHeader(l)
-		for _, o := range opts {
-			o(&hdr)
-		}
-		sess, err := rc.Session(hdr)
-		if err != nil {
-			return fmt.Errorf("sctest: remote: %w", err)
-		}
-		if err := sendStream(sess.SendBytes, l); err != nil {
-			return fmt.Errorf("sctest: remote: %w", err)
-		}
-		v, err := sess.Finish()
-		if err != nil {
-			return fmt.Errorf("sctest: remote: %w", err)
-		}
-		return v.Err()
-	}
-}
-
-// HistoryGridChecker adjudicates lowerings through a scgrid fabric: each
-// history becomes one tokened grid session, placed on a healthy backend
-// by the grid's dispatcher, with the grid's resume/failover semantics.
-func HistoryGridChecker(g *scgrid.Grid, opts ...CheckOpt) HistoryChecker {
-	return func(l *history.Lowering) error {
-		hdr := historyHeader(l)
-		hdr.Token = scserve.NewToken()
-		for _, o := range opts {
-			o(&hdr)
-		}
-		sess, err := g.Session(hdr)
-		if err != nil {
-			return fmt.Errorf("sctest: grid: %w", err)
-		}
-		defer sess.Close()
-		if err := sendStream(sess.SendBytes, l); err != nil {
-			return fmt.Errorf("sctest: grid: %w", err)
-		}
-		v, err := sess.Finish()
-		if err != nil {
-			return fmt.Errorf("sctest: grid: %w", err)
-		}
-		return v.Err()
-	}
-}
-
 func historyHeader(l *history.Lowering) scserve.Header {
 	k := l.K
 	if k < 1 {
@@ -89,25 +24,6 @@ func historyHeader(l *history.Lowering) scserve.Header {
 		k = 1
 	}
 	return scserve.Header{K: k, Params: l.Params}
-}
-
-// sendStream ships the lowering's descriptor stream in frame-sized
-// chunks, mirroring the run checkers' batching.
-func sendStream(send func([]byte) error, l *history.Lowering) error {
-	var buf []byte
-	for _, sym := range l.Stream {
-		buf = descriptor.AppendBinary(buf, sym)
-		if len(buf) >= 16<<10 {
-			if err := send(buf); err != nil {
-				return err
-			}
-			buf = buf[:0]
-		}
-	}
-	if len(buf) > 0 {
-		return send(buf)
-	}
-	return nil
 }
 
 // RejectConstraint extracts the checker constraint code from a rejection,
@@ -294,28 +210,7 @@ func HistoryCampaign(cfg HistoryConfig) HistoryResult {
 	}
 
 	verdicts := make([]historyVerdict, len(items))
-	if cfg.Workers > 1 {
-		var wg sync.WaitGroup
-		work := make(chan int)
-		for w := 0; w < cfg.Workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := range work {
-					verdicts[i] = classify(items[i])
-				}
-			}()
-		}
-		for i := range items {
-			work <- i
-		}
-		close(work)
-		wg.Wait()
-	} else {
-		for i := range items {
-			verdicts[i] = classify(items[i])
-		}
-	}
+	fanOut(len(items), cfg.Workers, func(i int) { verdicts[i] = classify(items[i]) })
 
 	// Ordered aggregation keeps FirstUnexpected deterministic.
 	var res HistoryResult

@@ -6,6 +6,7 @@ import (
 
 	"scverify/internal/history"
 	"scverify/internal/scgrid"
+	"scverify/internal/scserve"
 )
 
 // TestHistorySmokeCampaign is the tier-1 history acceptance test: a
@@ -42,11 +43,13 @@ func TestHistorySmokeCampaign(t *testing.T) {
 	g, err := scgrid.New(
 		[]string{backends[0].addr, backends[1].addr, backends[2].addr},
 		scgrid.Config{
-			Seed:        2,
-			Timeout:     5 * time.Second,
-			MaxAttempts: 4,
-			BaseDelay:   time.Millisecond,
-			MaxDelay:    50 * time.Millisecond,
+			RetryConfig: scserve.RetryConfig{
+				Seed:        2,
+				Timeout:     5 * time.Second,
+				MaxAttempts: 4,
+				BaseDelay:   time.Millisecond,
+				MaxDelay:    50 * time.Millisecond,
+			},
 		})
 	if err != nil {
 		t.Fatal(err)
@@ -54,7 +57,7 @@ func TestHistorySmokeCampaign(t *testing.T) {
 	defer g.Close()
 
 	gridCfg := cfg
-	gridCfg.Check = HistoryGridChecker(g)
+	gridCfg.Check = RemoteHistory(g)
 	viaGrid := HistoryCampaign(gridCfg)
 	t.Logf("grid:  %s", viaGrid)
 	if !viaGrid.Passed() {
@@ -78,7 +81,7 @@ func TestHistorySmokeCampaign(t *testing.T) {
 // anomalous history adjudicated through scserve, verdicts matching local.
 func TestHistoryRemoteChecker(t *testing.T) {
 	b := startGridBackend(t)
-	check := HistoryRemoteChecker(b.addr, 5*time.Second)
+	check := RemoteHistory(scserve.NewRetryClient(b.addr, scserve.RetryConfig{Timeout: 5 * time.Second}))
 
 	clean, err := history.Generate(history.GenConfig{Seed: 3})
 	if err != nil {

@@ -39,7 +39,7 @@ func TestRemoteCheckerMatchesLocal(t *testing.T) {
 		base := Config{Runs: 40, Steps: 14, Seed: 7, Exact: true, ExactLimit: 10, Workers: 4}
 		local := Campaign(tgt, base)
 		remoteCfg := base
-		remoteCfg.Check = RemoteChecker(ln.Addr().String(), 30*time.Second)
+		remoteCfg.Check = RemoteRun(scserve.NewRetryClient(ln.Addr().String(), scserve.RetryConfig{Timeout: 30 * time.Second}))
 		remote := Campaign(tgt, remoteCfg)
 
 		if local.Accepted != remote.Accepted || local.Rejected != remote.Rejected ||

@@ -37,8 +37,8 @@ type Config struct {
 	// verdicts depend only on the run's seed, and aggregation is ordered.
 	Workers int
 	// Check overrides per-run adjudication; nil means the in-process
-	// CheckRun. RemoteChecker supplies one that ships each run's
-	// descriptor stream to an scserve service. It must be safe for
+	// CheckRun. RemoteRun supplies one that ships each run's
+	// descriptor stream to an scserve service or grid. It must be safe for
 	// concurrent use when Workers > 1.
 	Check func(*protocol.Run, registry.Target) error
 	// Tier adjudicates every rejection's witness core against the
@@ -140,6 +140,34 @@ func classify(tgt registry.Target, cfg Config, i int) verdict {
 	return v
 }
 
+// fanOut calls fn(i) for every i in [0, n), on a pool of workers when
+// workers > 1. Each call writes only its own result slot, so callers
+// aggregate in index order and stay deterministic.
+func fanOut(n, workers int, fn func(i int)) {
+	if workers <= 1 {
+		for i := 0; i < n; i++ {
+			fn(i)
+		}
+		return
+	}
+	var wg sync.WaitGroup
+	work := make(chan int)
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range work {
+				fn(i)
+			}
+		}()
+	}
+	for i := 0; i < n; i++ {
+		work <- i
+	}
+	close(work)
+	wg.Wait()
+}
+
 // Campaign runs the testing scenario against a target, fanning the runs
 // across a worker pool when Config.Workers asks for one.
 func Campaign(tgt registry.Target, cfg Config) Result {
@@ -149,28 +177,7 @@ func Campaign(tgt registry.Target, cfg Config) Result {
 	res := Result{Runs: cfg.Runs}
 
 	verdicts := make([]verdict, cfg.Runs)
-	if cfg.Workers > 1 {
-		var wg sync.WaitGroup
-		work := make(chan int)
-		for w := 0; w < cfg.Workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := range work {
-					verdicts[i] = classify(tgt, cfg, i)
-				}
-			}()
-		}
-		for i := 0; i < cfg.Runs; i++ {
-			work <- i
-		}
-		close(work)
-		wg.Wait()
-	} else {
-		for i := 0; i < cfg.Runs; i++ {
-			verdicts[i] = classify(tgt, cfg, i)
-		}
-	}
+	fanOut(cfg.Runs, cfg.Workers, func(i int) { verdicts[i] = classify(tgt, cfg, i) })
 
 	// Ordered aggregation keeps FirstRejected deterministic.
 	for _, v := range verdicts {

@@ -7,6 +7,7 @@ import (
 	"scverify/internal/history"
 	"scverify/internal/registry"
 	"scverify/internal/scgrid"
+	"scverify/internal/scserve"
 	"scverify/internal/spectrum"
 	"scverify/internal/trace"
 )
@@ -24,11 +25,13 @@ func TestTierSmokeGrid(t *testing.T) {
 	g, err := scgrid.New(
 		[]string{backends[0].addr, backends[1].addr, backends[2].addr},
 		scgrid.Config{
-			Seed:        7,
-			Timeout:     5 * time.Second,
-			MaxAttempts: 4,
-			BaseDelay:   time.Millisecond,
-			MaxDelay:    50 * time.Millisecond,
+			RetryConfig: scserve.RetryConfig{
+				Seed:        7,
+				Timeout:     5 * time.Second,
+				MaxAttempts: 4,
+				BaseDelay:   time.Millisecond,
+				MaxDelay:    50 * time.Millisecond,
+			},
 		})
 	if err != nil {
 		t.Fatal(err)
@@ -46,7 +49,7 @@ func TestTierSmokeGrid(t *testing.T) {
 		Steps:   400,
 		Seed:    11,
 		Workers: 4,
-		Check:   GridChecker(g, Tiered()),
+		Check:   RemoteRun(g, Tiered()),
 		Tier:    true,
 	})
 	t.Logf("runs: %s", res)
@@ -75,7 +78,7 @@ func TestTierSmokeGrid(t *testing.T) {
 		Seed:    2,
 		Gen:     history.GenConfig{Processes: 3, Keys: 2, Ops: 20},
 		Workers: 4,
-		Check:   HistoryGridChecker(g, Tiered()),
+		Check:   RemoteHistory(g, Tiered()),
 		Tier:    true,
 	})
 	t.Logf("histories: %s", hres)
