@@ -3,9 +3,9 @@
 
 GO ?= go
 
-.PHONY: tier1 build vet vet-full test race scvet lint witness fuzz-burst smoke-serve smoke-grid smoke-drain smoke-history smoke-tier smoke-mc chaos chaos-grid soak flake-hunt bench-serve bench-grid bench-hist bench-tier bench-mc bench-all clean
+.PHONY: tier1 build vet vet-full fmt-check perfbench-check test race scvet lint witness fuzz-burst smoke-serve smoke-grid smoke-drain smoke-history smoke-tier smoke-mc chaos chaos-grid soak flake-hunt clean
 
-tier1: build vet-full race witness smoke-serve smoke-grid smoke-drain smoke-history smoke-tier smoke-mc chaos fuzz-burst
+tier1: build vet-full perfbench-check race witness smoke-serve smoke-grid smoke-drain smoke-history smoke-tier smoke-mc chaos fuzz-burst
 
 build:
 	$(GO) build ./...
@@ -14,9 +14,20 @@ vet:
 	$(GO) vet ./...
 
 # vet-full: the whole static-verification surface in one target — the
-# toolchain's vet, the repo's own scvet suite (SV001–SV007) self-applied,
-# and Γ-membership linting of every registered protocol.
-vet-full: vet scvet lint
+# toolchain's vet, gofmt, the repo's own scvet suite (SV001–SV007)
+# self-applied, and Γ-membership linting of every registered protocol.
+vet-full: vet fmt-check scvet lint
+
+# fmt-check: fails, listing the files, when any Go file is not gofmt-clean.
+fmt-check:
+	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "gofmt: unformatted files:"; echo "$$out"; exit 1; fi
+
+# perfbench-check: the benchmark is a nested module, so `go build ./...`
+# never compiles it; vet and test it so an API change that breaks the
+# benchmark fails tier1.
+perfbench-check:
+	GOWORK=off $(GO) -C perfbench vet ./...
+	GOWORK=off $(GO) -C perfbench test ./...
 
 test:
 	$(GO) test ./...
@@ -146,55 +157,6 @@ flake-hunt:
 	$(GO) test -race -run='TestHistoryExitCodes' -count=50 ./cmd/sccheck
 	$(GO) test -race -run='TestSmokeGrid$$|TestGridDetectsViolation|TestGridBackendDeathIsIncomplete' -count=50 ./internal/scmc
 	$(GO) test -run='TestChaosSoakRegistry' -count=50 ./internal/sctest
-
-# bench-serve: throughput of the scserve service on the loopback
-# (sessions/s, symbols/s), written to BENCH_scserve.json.
-BENCH_SESSIONS ?= 256
-BENCH_WORKERS  ?= 64
-BENCH_SYMBOLS  ?= 5000
-
-bench-serve:
-	$(GO) run ./cmd/scserve -bench -bench-sessions=$(BENCH_SESSIONS) \
-		-bench-workers=$(BENCH_WORKERS) -bench-symbols=$(BENCH_SYMBOLS) \
-		-bench-out=BENCH_scserve.json
-
-# bench-grid: aggregate sessions/s through the scgrid fabric at 1, 2 and
-# 4 backends over a simulated-latency loopback link, written to
-# BENCH_scgrid.json. Exits non-zero if 4 backends fail to reach 2x the
-# single-backend throughput.
-bench-grid:
-	$(GO) run ./cmd/scgrid -bench -bench-out=BENCH_scgrid.json
-
-# bench-hist: end-to-end history-ingestion throughput (parse canonical
-# JSONL → lower → check; histories/s and ops/s for a clean and an
-# anomalous arm), written to BENCH_schist.json.
-BENCH_HISTORIES ?= 2000
-BENCH_HIST_OPS  ?= 200
-
-bench-hist:
-	$(GO) run ./cmd/sccheck history -bench -bench-histories=$(BENCH_HISTORIES) \
-		-bench-ops=$(BENCH_HIST_OPS) -bench-out=BENCH_schist.json
-
-# bench-tier: weaker-model adjudication throughput (one arm per ladder
-# rung on its canonical litmus core, plus an end-to-end anomalous-history
-# arm), written to BENCH_sctier.json. Every arm asserts its expected tier
-# on every iteration, so the bench doubles as a tier-stability check.
-BENCH_TIER_N ?= 2000
-
-bench-tier:
-	$(GO) run ./cmd/sccheck -tier -bench -bench-n=$(BENCH_TIER_N) \
-		-bench-out=BENCH_sctier.json
-
-# bench-mc: distributed exploration scaling at 1, 2 and 4 loopback
-# backends under the simulated-latency methodology (one explore worker
-# per backend, fixed per-expansion delay), written to BENCH_scverify.json.
-# Every arm must reproduce the single-node state count exactly; exits
-# non-zero if 4 backends fail to reach 2x the single-backend states/s.
-bench-mc:
-	$(GO) run ./cmd/scverify -bench -bench-out=BENCH_scverify.json
-
-# bench-all: regenerate every committed BENCH_*.json artifact.
-bench-all: bench-serve bench-grid bench-hist bench-tier bench-mc
 
 clean:
 	$(GO) clean ./...

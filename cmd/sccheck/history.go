@@ -2,14 +2,12 @@ package main
 
 import (
 	"bytes"
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
-	"time"
 
 	"scverify/internal/history"
 	"scverify/internal/scserve"
@@ -27,7 +25,6 @@ import (
 //	cat run.jsonl | sccheck history                # stdin (JSONL unless it sniffs as EDN)
 //	sccheck history -in run.jsonl -server h:7541   # adjudicate via scserve
 //	sccheck history -in run.jsonl -grid h1:7541,h2:7541
-//	sccheck history -bench -bench-out=BENCH_schist.json
 //
 // The exit-code contract matches the main command: 0 the history is
 // accepted as sequentially consistent, 1 the checker rejected it, 2 the
@@ -43,21 +40,13 @@ func historyMain(args []string) int {
 		quiet   = fs.Bool("q", false, "suppress the acceptance summary line")
 		remote  = sctest.AddRemoteFlags(fs)
 		tier    = fs.Bool("tier", false, "on rejection, adjudicate the witness core against the weaker-model ladder; with -server/-grid, ask the service to")
-
-		bench      = fs.Bool("bench", false, "run the ingestion+checking throughput benchmark instead of checking input")
-		benchHists = fs.Int("bench-histories", 2000, "histories per benchmark arm")
-		benchOps   = fs.Int("bench-ops", 200, "base operations per benchmark history")
-		benchOut   = fs.String("bench-out", "", "write the benchmark result as JSON to this file")
 	)
 	fs.Usage = func() {
-		fmt.Fprintln(os.Stderr, "usage: sccheck history [-in file] [-format auto|jsonl|edn] [-strict] [-explain] [-server addr | -grid addrs] [-bench]")
+		fmt.Fprintln(os.Stderr, "usage: sccheck history [-in file] [-format auto|jsonl|edn] [-strict] [-explain] [-server addr | -grid addrs]")
 		fs.PrintDefaults()
 	}
 	_ = fs.Parse(args)
 
-	if *bench {
-		return historyBench(*benchHists, *benchOps, *benchOut)
-	}
 	if *explain && remote.Remote() {
 		fmt.Fprintln(os.Stderr, "sccheck history: -explain is local-only; not available with -server/-grid")
 		return 2
@@ -184,111 +173,4 @@ func historyRemote(l *history.Lowering, a sctest.Adjudicator, opts ...sctest.Che
 	}
 	fmt.Fprintf(os.Stderr, "sccheck history: %v\n", err)
 	return 2
-}
-
-// historyBench measures end-to-end ingestion throughput: parse canonical
-// JSONL, lower, and check, for a clean arm and an anomalous arm, writing
-// histories/s and ops/s. The corpus is generated, rendered to JSONL once,
-// and replayed from memory so the numbers measure the pipeline, not the
-// generator.
-func historyBench(histories, ops int, out string) int {
-	type arm struct {
-		Name        string  `json:"name"`
-		Histories   int     `json:"histories"`
-		Ops         int64   `json:"ops"`
-		Seconds     float64 `json:"seconds"`
-		HistPerSec  float64 `json:"histories_per_sec"`
-		OpsPerSec   float64 `json:"ops_per_sec"`
-		Rejected    int     `json:"rejected"`
-		BytesPerSec float64 `json:"bytes_per_sec"`
-	}
-	runArm := func(name string, kinds []history.AnomalyKind) (arm, error) {
-		// Pre-render a small rotating corpus so parse cost is measured on
-		// realistic bytes without the benchmark loop paying generation.
-		const corpus = 16
-		inputs := make([][]byte, corpus)
-		for i := range inputs {
-			g, err := history.Generate(history.GenConfig{
-				Seed: int64(i + 1), Processes: 4, Keys: 3, Ops: ops, Anomalies: kinds,
-			})
-			if err != nil {
-				return arm{}, err
-			}
-			var buf bytes.Buffer
-			if err := g.History.WriteJSONL(&buf); err != nil {
-				return arm{}, err
-			}
-			inputs[i] = buf.Bytes()
-		}
-		a := arm{Name: name, Histories: histories}
-		var bytesIn int64
-		start := time.Now()
-		for i := 0; i < histories; i++ {
-			data := inputs[i%corpus]
-			bytesIn += int64(len(data))
-			h, err := history.ParseJSONL(bytes.NewReader(data))
-			if err != nil {
-				return arm{}, err
-			}
-			l, err := history.Lower(h)
-			if err != nil {
-				return arm{}, err
-			}
-			a.Ops += int64(len(l.Trace))
-			if err := l.Check(); err != nil {
-				a.Rejected++
-			}
-		}
-		a.Seconds = time.Since(start).Seconds()
-		if a.Seconds > 0 {
-			a.HistPerSec = float64(a.Histories) / a.Seconds
-			a.OpsPerSec = float64(a.Ops) / a.Seconds
-			a.BytesPerSec = float64(bytesIn) / a.Seconds
-		}
-		return a, nil
-	}
-
-	clean, err := runArm("clean", nil)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "sccheck history: bench: %v\n", err)
-		return 2
-	}
-	if clean.Rejected != 0 {
-		fmt.Fprintf(os.Stderr, "sccheck history: bench: %d clean histories rejected\n", clean.Rejected)
-		return 2
-	}
-	anom, err := runArm("anomalous", history.AllAnomalies())
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "sccheck history: bench: %v\n", err)
-		return 2
-	}
-	if anom.Rejected != anom.Histories {
-		fmt.Fprintf(os.Stderr, "sccheck history: bench: only %d/%d anomalous histories rejected\n", anom.Rejected, anom.Histories)
-		return 2
-	}
-
-	result := struct {
-		Benchmark string    `json:"benchmark"`
-		OpsPerRun int       `json:"base_ops_per_history"`
-		Arms      []arm     `json:"arms"`
-		When      time.Time `json:"when"`
-	}{Benchmark: "schist", OpsPerRun: ops, Arms: []arm{clean, anom}, When: time.Now().UTC()}
-
-	for _, a := range result.Arms {
-		fmt.Printf("%-10s %7d histories, %9d ops in %6.2fs: %8.0f histories/s, %10.0f ops/s\n",
-			a.Name, a.Histories, a.Ops, a.Seconds, a.HistPerSec, a.OpsPerSec)
-	}
-	if out != "" {
-		data, err := json.MarshalIndent(result, "", "  ")
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "sccheck history: bench: %v\n", err)
-			return 2
-		}
-		if err := os.WriteFile(out, append(data, '\n'), 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "sccheck history: bench: %v\n", err)
-			return 2
-		}
-		fmt.Printf("wrote %s\n", out)
-	}
-	return 0
 }

@@ -93,20 +93,9 @@ func main() {
 		values  = flag.Int("v", 0, "optional: values")
 		remote  = sctest.AddRemoteFlags(flag.CommandLine)
 		tier    = flag.Bool("tier", false, "on rejection, adjudicate the witness core against the weaker-model ladder (TSO/PSO/causal/PRAM); with -server/-grid, ask the service to")
-
-		bench    = flag.Bool("bench", false, "with -tier: run the tier-adjudication benchmark instead of checking input")
-		benchN   = flag.Int("bench-n", 2000, "adjudications per benchmark arm")
-		benchOut = flag.String("bench-out", "", "write the benchmark result as JSON to this file")
 	)
 	flag.Parse()
 
-	if *bench {
-		if !*tier {
-			fmt.Fprintln(os.Stderr, "sccheck: -bench requires -tier (the tier-adjudication benchmark)")
-			os.Exit(2)
-		}
-		os.Exit(tierBench(*benchN, *benchOut))
-	}
 	if *k < 1 {
 		fmt.Fprintln(os.Stderr, "sccheck: -k must be at least 1")
 		os.Exit(2)

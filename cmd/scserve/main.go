@@ -10,7 +10,6 @@
 //
 //	scserve -addr :7541                          # serve until SIGINT
 //	scserve -addr :7541 -max-sessions 512 -read-timeout 1m
-//	scserve -bench -bench-out BENCH_scserve.json # self-contained benchmark
 //
 // SIGINT/SIGTERM begins a graceful shutdown: the listener closes, in-
 // flight sessions run to their verdicts (bounded by -drain-timeout), and
@@ -32,8 +31,7 @@
 // -stats-addr serves the live stats line over HTTP as plain text ("/")
 // and JSON ("/json") for scrapers and the scgrid aggregator.
 //
-// Exit status: 0 clean serve/bench, 1 drain timeout exceeded, 2 usage/IO
-// error.
+// Exit status: 0 clean serve, 1 drain timeout exceeded, 2 usage/IO error.
 package main
 
 import (
@@ -49,11 +47,9 @@ import (
 	"os/signal"
 	"strconv"
 	"strings"
-	"sync"
 	"syscall"
 	"time"
 
-	"scverify/internal/descriptor"
 	"scverify/internal/scserve"
 )
 
@@ -117,7 +113,6 @@ func main() {
 
 		exploreWorkers   = flag.Int("explore-workers", 0, "worker goroutines per distributed-exploration shard (0 = GOMAXPROCS)")
 		exploreMaxStates = flag.Int("explore-max-states", 0, "hard per-shard visited-state budget for explore sessions (0 = default)")
-		exploreStepDelay = flag.Duration("explore-step-delay", 0, "artificial per-expansion delay for explore sessions (benchmarking)")
 
 		admitWait      = flag.Duration("admit-wait", 0, "how long an over-capacity hello may wait for a fair-share slot (0 rejects busy immediately)")
 		admitQueue     = flag.Int("admit-queue", 0, "max hellos parked in the admission queue (0 = max-sessions)")
@@ -125,12 +120,6 @@ func main() {
 		tenantBPS      = flag.Int64("tenant-bytes-per-sec", 0, "per-tenant sustained stream byte rate (0 unlimited)")
 		tenantBurst    = flag.Int64("tenant-burst-bytes", 0, "per-tenant burst bucket in bytes (0 = one second at the rate)")
 		tenantWeights  = flag.String("tenant-weights", "", "fair-share weights, e.g. alice=3,bob=1 (default weight 1)")
-
-		bench         = flag.Bool("bench", false, "run the self-contained benchmark instead of serving")
-		benchSessions = flag.Int("bench-sessions", 256, "benchmark: total sessions")
-		benchWorkers  = flag.Int("bench-workers", 64, "benchmark: concurrent client connections")
-		benchSymbols  = flag.Int("bench-symbols", 5000, "benchmark: symbols per session")
-		benchOut      = flag.String("bench-out", "BENCH_scserve.json", "benchmark: JSON output file")
 	)
 	flag.Parse()
 
@@ -158,17 +147,12 @@ func main() {
 		TenantWeights:     weights,
 		ExploreWorkers:    *exploreWorkers,
 		ExploreMaxStates:  *exploreMaxStates,
-		ExploreStepDelay:  *exploreStepDelay,
 	}
 	if *verbose {
 		cfg.Logf = log.Printf
 	}
 	if *structured {
 		cfg.Log = slog.New(slog.NewTextHandler(os.Stderr, nil))
-	}
-
-	if *bench {
-		os.Exit(runBench(cfg, *benchSessions, *benchWorkers, *benchSymbols, *benchOut))
 	}
 
 	ln, err := net.Listen("tcp", *addr)
@@ -231,149 +215,4 @@ func main() {
 		fmt.Fprintf(os.Stderr, "scserve: drain incomplete: %v\n", err)
 		os.Exit(1)
 	}
-}
-
-// benchResult is the BENCH_scserve.json schema.
-type benchResult struct {
-	Bench             string        `json:"bench"`
-	Sessions          int           `json:"sessions"`
-	Workers           int           `json:"workers"`
-	SymbolsPerSession int           `json:"symbols_per_session"`
-	Accepts           int           `json:"accepts"`
-	Rejects           int           `json:"rejects"`
-	ElapsedSeconds    float64       `json:"elapsed_seconds"`
-	SessionsPerSec    float64       `json:"sessions_per_sec"`
-	SymbolsPerSec     float64       `json:"symbols_per_sec"`
-	BytesPerSec       float64       `json:"bytes_per_sec"`
-	Server            scserve.Stats `json:"server_stats"`
-}
-
-// runBench measures client↔server session throughput over loopback TCP:
-// workers share the total session count, each session streaming a
-// synthetic SC stream (every eighth session a rejecting one, exercising
-// the early-verdict path).
-func runBench(cfg scserve.Config, sessions, workers, symbols int, out string) int {
-	if workers > sessions {
-		workers = sessions
-	}
-	if cfg.MaxSessions < workers {
-		cfg.MaxSessions = workers
-	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "scserve bench: listen: %v\n", err)
-		return 2
-	}
-	srv := scserve.New(cfg)
-	serveDone := make(chan error, 1)
-	go func() { serveDone <- srv.Serve(ln) }()
-
-	h := scserve.SyntheticHeader()
-	acceptWire := descriptor.Marshal(scserve.SyntheticAccept(symbols))
-	rejectStream, rejectIdx := scserve.SyntheticReject(symbols - 4)
-	rejectWire := descriptor.Marshal(rejectStream)
-
-	var mu sync.Mutex
-	accepts, rejects := 0, 0
-	var bytesSent int64
-	failures := 0
-
-	start := time.Now()
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		share := sessions / workers
-		if w < sessions%workers {
-			share++
-		}
-		wg.Add(1)
-		go func(w, share int) {
-			defer wg.Done()
-			c, err := scserve.DialTimeout(ln.Addr().String(), 30*time.Second)
-			if err != nil {
-				mu.Lock()
-				failures++
-				mu.Unlock()
-				return
-			}
-			defer c.Close()
-			localA, localR, localBytes := 0, 0, int64(0)
-			for i := 0; i < share; i++ {
-				reject := (w+i)%8 == 7
-				wire := acceptWire
-				if reject {
-					wire = rejectWire
-				}
-				// Benchmark with checkpointing on: each session announces a
-				// token, so the measured throughput includes the server's
-				// periodic checker clones and ack frames.
-				sh := h
-				sh.Token = fmt.Sprintf("bench-%d-%d", w, i)
-				sess, err := c.Session(sh)
-				if err == nil {
-					err = sess.SendBytes(wire)
-				}
-				var v scserve.Verdict
-				if err == nil {
-					v, err = sess.Finish()
-				}
-				switch {
-				case err != nil,
-					reject && (v.Code != scserve.VerdictReject || v.Symbol != rejectIdx),
-					!reject && v.Code != scserve.VerdictAccept:
-					mu.Lock()
-					failures++
-					mu.Unlock()
-					return
-				case reject:
-					localR++
-				default:
-					localA++
-				}
-				localBytes += int64(len(wire))
-			}
-			mu.Lock()
-			accepts += localA
-			rejects += localR
-			bytesSent += localBytes
-			mu.Unlock()
-		}(w, share)
-	}
-	wg.Wait()
-	elapsed := time.Since(start)
-
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	srv.Shutdown(ctx)
-	<-serveDone
-
-	if failures > 0 {
-		fmt.Fprintf(os.Stderr, "scserve bench: %d sessions failed or returned wrong verdicts\n", failures)
-		return 2
-	}
-	res := benchResult{
-		Bench:             "scserve",
-		Sessions:          sessions,
-		Workers:           workers,
-		SymbolsPerSession: symbols,
-		Accepts:           accepts,
-		Rejects:           rejects,
-		ElapsedSeconds:    elapsed.Seconds(),
-		SessionsPerSec:    float64(sessions) / elapsed.Seconds(),
-		SymbolsPerSec:     float64(srv.Stats().SymbolsTotal) / elapsed.Seconds(),
-		BytesPerSec:       float64(bytesSent) / elapsed.Seconds(),
-		Server:            srv.Stats(),
-	}
-	blob, err := json.MarshalIndent(res, "", "  ")
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "scserve bench: %v\n", err)
-		return 2
-	}
-	blob = append(blob, '\n')
-	if err := os.WriteFile(out, blob, 0o644); err != nil {
-		fmt.Fprintf(os.Stderr, "scserve bench: write %s: %v\n", out, err)
-		return 2
-	}
-	fmt.Printf("scserve bench: %d sessions × %d symbols over %d conns in %.2fs — %.0f sessions/s, %.0f symbols/s (%s)\n",
-		sessions, symbols, workers, res.ElapsedSeconds, res.SessionsPerSec, res.SymbolsPerSec, out)
-	return 0
 }

@@ -17,7 +17,6 @@
 //	scverify -protocol msi -p 2 -b 1 -v 1
 //	scverify -protocol storebuffer -p 2 -b 2 -v 1 -depth 8
 //	scverify -protocol msi -grid host1:7541,host2:7541,host3:7541
-//	scverify -bench -bench-out BENCH_scverify.json
 //	scverify -list
 //
 // Exit status: 0 verified, 1 violated, 2 usage error, 3 incomplete.
@@ -63,9 +62,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		grid     = fs.String("grid", "", "comma-separated scserve backends for distributed exploration")
 		stall    = fs.Duration("stall", 2*time.Minute, "grid: abort when no backend activity for this long")
 		list     = fs.Bool("list", false, "list protocols and exit")
-
-		bench    = fs.Bool("bench", false, "run the self-contained distributed scaling benchmark")
-		benchOut = fs.String("bench-out", "BENCH_scverify.json", "benchmark: JSON output file")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -77,9 +73,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintf(stdout, "  %-20s %s\n", n, note)
 		}
 		return 0
-	}
-	if *bench {
-		return benchMain(*benchOut, stdout, stderr)
 	}
 
 	params := trace.Params{Procs: *procs, Blocks: *blocks, Values: *values}

@@ -6,7 +6,6 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"scverify/internal/protocol"
 )
@@ -99,9 +98,6 @@ type ExplorerConfig struct {
 	// fingerprints but retains keys to count genuine collisions.
 	Exact bool
 	Audit bool
-	// StepDelay sleeps this long before each state expansion — the bench
-	// harness's simulated per-state latency (see cmd/scverify -bench).
-	StepDelay time.Duration
 	// TrackObserverStates additionally counts distinct observer-component
 	// states, for the Section 4.4 size-bound experiment.
 	TrackObserverStates bool
@@ -500,9 +496,6 @@ func (x *Explorer) adjudicate(key string, fp uint64, depth int) Act {
 // expand generates and adjudicates all successors of e. count charges the
 // fan-out to the transition counter (granted once per state).
 func (x *Explorer) expand(e *Product, count bool) {
-	if d := x.cfg.StepDelay; d > 0 {
-		time.Sleep(d)
-	}
 	trs := x.p.Transitions(e.PState)
 	if count {
 		x.transitions.Add(int64(len(trs)))

@@ -92,7 +92,6 @@ func (s *Server) runExploreSession(conn net.Conn, br *bufio.Reader, bw *bufio.Wr
 		MaxDepth:  eh.MaxDepth,
 		Exact:     eh.Mode == ExploreModeExact,
 		Audit:     eh.Mode == ExploreModeAudit,
-		StepDelay: s.cfg.ExploreStepDelay,
 		Emit: func(items []mc.Item) {
 			for len(items) > 0 {
 				n := len(items)

@@ -334,6 +334,10 @@ func FuzzServerConn(f *testing.F) {
 	}
 	f.Add(tiered(rej))
 	f.Add(tiered(SyntheticAccept(9)))
+	// A tiered stream naming block 2^62, rejected as outside the
+	// parameters: the tier path must size nothing by that ID.
+	huge := trace.ST(1, 1<<62, 1)
+	f.Add(tiered(descriptor.Stream{descriptor.Node{ID: 1, Op: &huge}}))
 	// Live-operations seeds: a tenant-identified session (the per-tenant
 	// accounting path), the drain admin frame flipping the server into and
 	// out of drain mode around a session, and a malformed drain payload.

@@ -119,10 +119,6 @@ type Config struct {
 	// never trusted (hitting the clamp degrades the grid verdict to
 	// incomplete, not to a wrong verified).
 	ExploreMaxStates int
-	// ExploreStepDelay sleeps before each state expansion in explore
-	// sessions — the simulated per-state latency the scaling bench uses
-	// (zero in production).
-	ExploreStepDelay time.Duration
 	// Logf, when set, receives connection-level diagnostics.
 	Logf func(format string, args ...any)
 	// Log, when set, receives structured connection-path events
@@ -174,26 +170,26 @@ func (c Config) withDefaults() Config {
 // Stats is a snapshot of the server's counters, served to clients as JSON
 // in stats frames.
 type Stats struct {
-	SessionsTotal   int64   `json:"sessions_total"`
-	SessionsActive  int64   `json:"sessions_active"`
-	SessionsAborted int64   `json:"sessions_aborted"`
-	Accepts         int64   `json:"accepts"`
-	Rejects         int64   `json:"rejects"`
-	ProtocolErrors  int64   `json:"protocol_errors"`
-	Busy            int64   `json:"busy"`
-	SymbolsTotal    int64   `json:"symbols_total"`
-	QueueBytes      int64   `json:"queue_bytes"`
-	Checkpoints     int64   `json:"checkpoints"`
-	CheckpointBytes int64   `json:"checkpoint_bytes"`
-	Resumes         int64   `json:"resumes"`
-	ResumeReplays   int64   `json:"resume_replays"`
-	ResumeMisses    int64   `json:"resume_misses"`
-	TiersComputed   int64   `json:"tiers_computed"`
-	Draining        bool    `json:"draining"`
-	Drains          int64   `json:"drains"`
-	DrainRejects    int64   `json:"drain_rejects"`
-	QuotaRejects    int64   `json:"quota_rejects"`
-	AdmitParked     int64   `json:"admit_parked"`
+	SessionsTotal   int64 `json:"sessions_total"`
+	SessionsActive  int64 `json:"sessions_active"`
+	SessionsAborted int64 `json:"sessions_aborted"`
+	Accepts         int64 `json:"accepts"`
+	Rejects         int64 `json:"rejects"`
+	ProtocolErrors  int64 `json:"protocol_errors"`
+	Busy            int64 `json:"busy"`
+	SymbolsTotal    int64 `json:"symbols_total"`
+	QueueBytes      int64 `json:"queue_bytes"`
+	Checkpoints     int64 `json:"checkpoints"`
+	CheckpointBytes int64 `json:"checkpoint_bytes"`
+	Resumes         int64 `json:"resumes"`
+	ResumeReplays   int64 `json:"resume_replays"`
+	ResumeMisses    int64 `json:"resume_misses"`
+	TiersComputed   int64 `json:"tiers_computed"`
+	Draining        bool  `json:"draining"`
+	Drains          int64 `json:"drains"`
+	DrainRejects    int64 `json:"drain_rejects"`
+	QuotaRejects    int64 `json:"quota_rejects"`
+	AdmitParked     int64 `json:"admit_parked"`
 
 	// Explore-session (distributed exploration shard) counters.
 	ExploreSessions    int64 `json:"explore_sessions"`
@@ -202,9 +198,9 @@ type Stats struct {
 	ExploreForwards    int64 `json:"explore_forwards"`
 	ExploreViolations  int64 `json:"explore_violations"`
 
-	UptimeSeconds   float64 `json:"uptime_seconds"`
-	SessionsPerSec  float64 `json:"sessions_per_sec"`
-	SymbolsPerSec   float64 `json:"symbols_per_sec"`
+	UptimeSeconds  float64 `json:"uptime_seconds"`
+	SessionsPerSec float64 `json:"sessions_per_sec"`
+	SymbolsPerSec  float64 `json:"symbols_per_sec"`
 
 	// Tenants breaks the counters down by identified tenant (hellos
 	// carrying the tenant field); anonymous traffic appears only in the
@@ -741,7 +737,7 @@ func (s *Server) handleConn(conn net.Conn) {
 					if seed == nil {
 						s.adm.release(h.Tenant)
 						s.resumeMisses.Add(1)
-						s.sendVerdict(conn, bw, ErrorVerdict(resumeMissPrefix + "unknown or expired session token"))
+						s.sendVerdict(conn, bw, ErrorVerdict(resumeMissPrefix+"unknown or expired session token"))
 						return
 					}
 				} else {

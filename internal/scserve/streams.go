@@ -18,7 +18,7 @@ func SyntheticHeader() Header {
 // SyntheticAccept returns an SC descriptor stream of at least n symbols
 // (n ≥ 3): one store followed by a program-order chain of loads that all
 // inherit from it. The checker accepts it at every prefix length produced
-// here. Used by the smoke tests and the bench mode, where verdict
+// here. Used by the tests of this and the client packages, where verdict
 // correctness must be known a priori.
 func SyntheticAccept(n int) descriptor.Stream {
 	st := trace.ST(1, 1, 1)

@@ -167,6 +167,9 @@ func Adjudicate(t trace.Trace, opts Options) Result {
 		return res
 	}
 	res.Checked = true
+	// Every rung runs on the compact renaming (positions are kept, so
+	// Reorder still indexes t); only FailProc is mapped back.
+	t, procs := t.Compact()
 
 	// SC rung: the exact Gibbons–Korach search, same as witness
 	// certification.
@@ -185,7 +188,7 @@ func Adjudicate(t trace.Trace, opts Options) Result {
 	res.Passed[TierPRAM] = pram.ok
 	res.Passed[TierCausal] = causal.ok
 	res.Bounded = res.Bounded || pram.bounded || causal.bounded
-	res.FailProc = pram.failProc
+	res.FailProc = procs[pram.failProc]
 
 	// Enforce the lattice entailments explicitly. Each implication holds
 	// semantically (an SC order is a TSO schedule with immediate drains

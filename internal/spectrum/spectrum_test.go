@@ -107,6 +107,22 @@ func TestLitmusTiers(t *testing.T) {
 					t.Errorf("no failing process named for TierNone")
 				}
 			}
+
+			// The same trace with processor p renamed p<<40 and block b
+			// renamed b-1000 (orders kept), as a decoded stream may carry
+			// them: same result, failing process named by its own ID.
+			spread := tc.tr.Clone()
+			for i := range spread {
+				spread[i].Proc <<= 40
+				spread[i].Block -= 1000
+			}
+			got := Adjudicate(spread, Options{})
+			want := res
+			want.FailProc <<= 40
+			if got.Tier != want.Tier || got.Passed != want.Passed || got.FailProc != want.FailProc ||
+				(got.Reorder == nil) != (want.Reorder == nil) || (got.Reorder != nil && *got.Reorder != *want.Reorder) {
+				t.Errorf("spread IDs: %+v, want %+v", got, want)
+			}
 		})
 	}
 }

@@ -15,6 +15,7 @@ package trace
 
 import (
 	"fmt"
+	"sort"
 	"strings"
 )
 
@@ -185,6 +186,51 @@ func (t Trace) Values() int {
 // the zero Params (which disables the checker's range check).
 func (t Trace) Params() Params {
 	return Params{Procs: t.Procs(), Blocks: t.Blocks(), Values: t.Values()}
+}
+
+// Compact returns a copy of t with its processor IDs and its block IDs
+// each renamed to 1..n in ascending order, and the original ID of each
+// renamed processor (index 0 unused). Sequential consistency and the
+// weaker models of the tier ladder are invariant under such renaming, and
+// because the order is kept, searches that walk processors by ID explore
+// in the same order. Searches that index slices by ID run on the compact
+// copy, so a trace decoded from outside the program that names processor
+// or block 2^62 sizes nothing by that ID.
+func (t Trace) Compact() (Trace, []ProcID) {
+	procIDs := make([]int, 0, len(t))
+	blockIDs := make([]int, 0, len(t))
+	for _, op := range t {
+		procIDs = append(procIDs, int(op.Proc))
+		blockIDs = append(blockIDs, int(op.Block))
+	}
+	procs, procRank := ranks(procIDs)
+	_, blockRank := ranks(blockIDs)
+	out := make(Trace, len(t))
+	for i, op := range t {
+		op.Proc = ProcID(procRank[int(op.Proc)])
+		op.Block = BlockID(blockRank[int(op.Block)])
+		out[i] = op
+	}
+	orig := make([]ProcID, len(procs)+1)
+	for i, id := range procs {
+		orig[i+1] = ProcID(id)
+	}
+	return out, orig
+}
+
+// ranks sorts and deduplicates ids in place, returning the distinct IDs
+// and each one's 1-based rank.
+func ranks(ids []int) ([]int, map[int]int) {
+	sort.Ints(ids)
+	rank := make(map[int]int, len(ids))
+	distinct := ids[:0]
+	for _, id := range ids {
+		if _, ok := rank[id]; !ok {
+			distinct = append(distinct, id)
+			rank[id] = len(distinct)
+		}
+	}
+	return distinct, rank
 }
 
 // ByProc splits the trace into per-processor program orders. The slice is

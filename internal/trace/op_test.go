@@ -111,6 +111,21 @@ func TestTraceProcsBlocks(t *testing.T) {
 	}
 }
 
+func TestCompact(t *testing.T) {
+	tr := Trace{ST(1<<40, 7, 1), LD(-3, 7, 1), ST(1<<40, -2, 2), LD(9, -2, Bottom)}
+	got, procs := tr.Compact()
+	want := Trace{ST(3, 2, 1), LD(1, 2, 1), ST(3, 1, 2), LD(2, 1, Bottom)}
+	if got.String() != want.String() {
+		t.Errorf("Compact = %v, want %v", got, want)
+	}
+	if len(procs) != 4 || procs[1] != -3 || procs[2] != 9 || procs[3] != 1<<40 {
+		t.Errorf("original processor IDs = %v, want [0 -3 9 %d]", procs, 1<<40)
+	}
+	if tr[0].Proc != 1<<40 {
+		t.Error("Compact modified its receiver")
+	}
+}
+
 func TestByProc(t *testing.T) {
 	tr := Trace{ST(1, 1, 1), ST(2, 1, 2), LD(1, 1, 2), LD(2, 1, 2)}
 	bp := tr.ByProc()

@@ -13,8 +13,11 @@ import (
 // frontier, memory contents) states and is exponential in the worst case —
 // exactly the blow-up the finite-state observer/checker method avoids.
 //
-// A nil trace (length 0) trivially has the empty serial reordering.
+// A nil trace (length 0) trivially has the empty serial reordering. The
+// search runs on t.Compact(), which keeps positions, so the reordering
+// indexes t itself.
 func FindSerialReordering(t Trace) (Reordering, bool) {
+	t, _ = t.Compact()
 	byProc := t.ByProc()
 	procs := len(byProc) - 1
 	if procs < 0 {

@@ -34,7 +34,30 @@ func TestFigure1Outcomes(t *testing.T) {
 		if got := HasSerialReordering(tr); got != c.wantSC {
 			t.Errorf("Figure 1 outcome r1=%d r2=%d: SC=%v, want %v", c.r1, c.r2, got, c.wantSC)
 		}
+		// The same trace with IDs a decoded stream may carry: the search
+		// must size nothing by them and return the same reordering.
+		want, _ := FindSerialReordering(tr)
+		got, ok := FindSerialReordering(spreadIDs(tr))
+		if ok != c.wantSC || len(got) != len(want) {
+			t.Fatalf("Figure 1 outcome r1=%d r2=%d with spread IDs: reordering %v (SC=%v), want %v", c.r1, c.r2, got, ok, want)
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("Figure 1 outcome r1=%d r2=%d with spread IDs: reordering %v, want %v", c.r1, c.r2, got, want)
+			}
+		}
 	}
+}
+
+// spreadIDs renames processor p to p<<40 and block b to b-1000, keeping
+// both orders: IDs as large or as negative as a wire decoder yields.
+func spreadIDs(tr Trace) Trace {
+	out := tr.Clone()
+	for i := range out {
+		out[i].Proc <<= 40
+		out[i].Block -= 1000
+	}
+	return out
 }
 
 func TestFindSerialReorderingEmpty(t *testing.T) {
